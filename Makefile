@@ -24,9 +24,11 @@ sanitize:
 
 # The cheap sanitizer tier for `make check`: the threaded surfaces
 # (serving gateway + engine) under REPRO_SANITIZE=1, minus the slow cells.
+# test_runtime_stress.py is the engine's whole concurrency surface:
+# concurrent run/run_many callers on one shared engine.
 sanitize-smoke:
 	REPRO_SANITIZE=1 pytest tests/ -m "serving and not slow"
-	REPRO_SANITIZE=1 pytest tests/test_runtime_engine.py tests/test_concurrency_locks.py
+	REPRO_SANITIZE=1 pytest tests/test_runtime_engine.py tests/test_runtime_stress.py tests/test_concurrency_locks.py
 
 check: lint analyze test-fast test-serving sanitize-smoke trace-smoke serve-smoke calibrate-smoke tune-smoke telemetry-smoke
 

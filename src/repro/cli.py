@@ -501,7 +501,6 @@ def _gateway_config(args):
         max_queue=args.max_queue,
         replicas=args.replicas,
         num_threads=args.threads,
-        scheduler=args.scheduler,
     )
 
 
@@ -1147,11 +1146,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--replicas", type=int, default=2)
         p.add_argument("--threads", type=int, default=1)
-        p.add_argument(
-            "--scheduler", default="round_robin",
-            choices=("round_robin", "least_loaded"),
-            help="replica placement policy",
-        )
         p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser(

@@ -64,11 +64,6 @@ LOCK_ORDER: tuple[LockRank, ...] = (
         "holding it, so it precedes obs.metrics",
     ),
     LockRank(
-        "runtime.engine.worker", 40, False,
-        "Engine._worker_lock — guards the submit-worker lifecycle; "
-        "nothing else is acquired under it",
-    ),
-    LockRank(
         "runtime.engine.plan", 50, False,
         "Engine._plan_lock — guards the plan cache and ParamCache; plan "
         "compilation reserves workspaces, builds indirections, records "
@@ -86,7 +81,8 @@ LOCK_ORDER: tuple[LockRank, ...] = (
     ),
     LockRank(
         "obs.trace", 80, False,
-        "Tracer._lock — per-thread buffer registration/collection; "
+        "the Tracer's ring lock — per-thread span-ring registration/"
+        "collection; "
         "span recording can happen under the plan lock",
     ),
     LockRank(

@@ -1,16 +1,16 @@
 """The batched inference engine.
 
 Layers plan compilation, prepacked-weight caching, intra-op threading and
-dynamic micro-batching over the graph IR:
+micro-batching over the graph IR.  Like the TFLite interpreter LCE runs
+in, the engine is a synchronous executor; queueing, deadline batching and
+replica placement belong to the serving :class:`~repro.serving.Gateway`.
 
 - :meth:`Engine.run` — one (possibly batched) synchronous inference through
   a cached :class:`~repro.runtime.plan.CompiledPlan`;
 - :meth:`Engine.run_many` — coalesces a list of requests into micro-batches
-  of at most ``max_batch_size`` samples, runs each micro-batch through one
-  batched plan call, and splits the results back per request;
-- :meth:`Engine.submit` — asynchronous front-end: requests are queued and a
-  background worker drains the queue, dynamically batching whatever is
-  pending (up to ``max_batch_size``) into single plan calls.
+  of at most ``max_batch_size`` samples (:func:`greedy_chunks`), runs each
+  micro-batch through one batched plan call, and splits the results back
+  per request.
 
 Determinism contract: every request's result is bit-identical to running
 that request alone through the reference
@@ -21,10 +21,7 @@ execution preserves this.
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
@@ -32,12 +29,12 @@ import numpy as np
 
 from repro.concurrency.locks import ordered_lock
 from repro.core.bitpack import PackedTensor
-from repro.graph.ir import Graph
+from repro.graph.ir import Graph, TensorSpec
 from repro.obs.events import NULL_EVENTS, EventLog, NullEventLog
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
+from repro.ops import check_value
 from repro.runtime.plan import CompiledPlan, ParamCache, compile_plan
-from repro.runtime.scheduler import Coalescer, GreedyCoalescer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.device import DeviceProfile
@@ -47,15 +44,13 @@ Value = Any  # np.ndarray | PackedTensor
 Request = tuple[Value, ...]
 Result = Any  # Value | tuple[Value, ...]
 
-_CLOSE = object()  # worker-thread sentinel
-
 
 @dataclass(frozen=True)
 class EngineStats:
     """A snapshot of an :class:`Engine`'s counters."""
 
-    #: inference requests accepted (one ``run`` call, or one ``run_many`` /
-    #: ``submit`` element)
+    #: inference requests accepted (one ``run`` call, or one ``run_many``
+    #: element)
     requests: int
     #: base-batch groups executed (= images for batch-1 graphs)
     samples: int
@@ -105,6 +100,29 @@ class EngineStats:
         return self.samples / self.busy_s if self.busy_s > 0 else 0.0
 
 
+def greedy_chunks(items: Sequence[Any], max_batch: int) -> list[list[Any]]:
+    """Greedy in-order packing of ``(request, factor)`` items.
+
+    Each chunk's total factor is at most ``max_batch``, except that a
+    single oversize item forms its own chunk (splitting it is a plan-level
+    concern); the ragged tail forms a final, smaller chunk.  Items may be
+    any sequence whose second element is the batch factor.
+    """
+    chunks: list[list[Any]] = []
+    current: list[Any] = []
+    size = 0
+    for item in items:
+        factor = item[1]
+        if current and size + factor > max_batch:
+            chunks.append(current)
+            current, size = [], 0
+        current.append(item)
+        size += factor
+    if current:
+        chunks.append(current)
+    return chunks
+
+
 def _lead_dim(value: Value) -> int:
     bits = value.bits if isinstance(value, PackedTensor) else np.asarray(value)
     if bits.ndim == 0:
@@ -149,14 +167,11 @@ class Engine:
         num_threads: intra-op threads for binarized GEMMs (plumbed down to
             :func:`repro.core.threading.bgemm_parallel`).
         max_batch_size: largest micro-batch (in base-batch groups) that
-            ``run_many``/``submit`` will coalesce into one plan call.
+            ``run_many`` will coalesce into one plan call.
         param_cache: a :class:`~repro.runtime.plan.ParamCache` to share
             prepacked weights with other engines over the same graph (the
             serving gateway's warm replica pool); a private cache when
             ``None``.
-        coalescer: the micro-batching policy (see
-            :mod:`repro.runtime.scheduler`); defaults to the historical
-            :class:`~repro.runtime.scheduler.GreedyCoalescer`.
         profile: a calibrated :class:`~repro.hw.device.DeviceProfile`;
             when given, every plan this engine compiles chooses per-node
             thread counts and rebatch splits from the profile's fitted
@@ -173,13 +188,15 @@ class Engine:
 
     Thread safety: one engine may be shared by any number of threads; plan
     compilation and the weight cache are serialized behind a lock while
-    execution itself is stateless and runs concurrently.
+    execution itself is stateless and runs concurrently.  The engine owns
+    no thread or queue: callers that want asynchronous, deadline-batched
+    serving go through :class:`~repro.serving.Gateway`.
 
     Observability: every counter lives in a per-engine
     :class:`~repro.obs.metrics.MetricsRegistry` (``engine.metrics``) —
     :meth:`stats` is a consistent view over it.  Pass ``trace=`` a
     :class:`~repro.obs.trace.Tracer` (or set ``engine.tracer``) to record
-    ``engine.run``/``engine.submit`` → ``batch.coalesce`` →
+    ``engine.run``/``engine.run_many`` → ``batch.coalesce`` →
     ``plan.execute`` → ``plan.node`` → kernel spans; the default
     :data:`~repro.obs.trace.NULL_TRACER` keeps the disabled path within
     the measured overhead budget.
@@ -192,7 +209,6 @@ class Engine:
         max_batch_size: int = 8,
         trace: Tracer | None = None,
         param_cache: ParamCache | None = None,
-        coalescer: Coalescer | None = None,
         profile: DeviceProfile | None = None,
         tuning: TuningCache | None = None,
     ) -> None:
@@ -219,9 +235,6 @@ class Engine:
         self._param_cache = param_cache if param_cache is not None else ParamCache()
         self._profile = profile
         self._tuning = tuning
-        self.coalescer: Coalescer = (
-            coalescer if coalescer is not None else GreedyCoalescer()
-        )
 
         #: tracer recording this engine's spans; NULL_TRACER when disabled
         self.tracer: Tracer | NullTracer = trace if trace is not None else NULL_TRACER
@@ -254,11 +267,6 @@ class Engine:
         m.gauge("engine.tuned_nodes", self._tuned_nodes_view)
         self._node_time_s: dict[str, float] = {}  # guarded by metrics lock
         self._last_node_times: dict[str, float] = {}
-
-        self._queue: queue.Queue | None = None
-        self._worker: threading.Thread | None = None
-        self._worker_lock = ordered_lock("runtime.engine.worker")
-        self._closed = False
 
     def _param_cache_view(self, attr: str) -> int:
         with self._plan_lock:
@@ -318,17 +326,23 @@ class Engine:
             )
         return plan
 
-    def _normalize_request(self, inputs: Sequence[Value]) -> Request:
+    def normalize(self, inputs: Sequence[Value]) -> tuple[Request, int]:
+        """Validate ``inputs`` and return ``(canonical request, factor)``.
+
+        ``factor`` is how many base-batch groups the request carries.
+        Every input is checked against its graph spec rebatched to that
+        factor (trailing dims, packed or unpacked), so the serving gateway
+        can call this at admission time and malformed requests raise
+        :class:`ValueError` in the submitting caller instead of failing a
+        replica.  ``run`` and ``run_many`` validate through it too.
+        """
         if len(inputs) != len(self.graph.inputs):
             raise ValueError(
                 f"graph takes {len(self.graph.inputs)} inputs, got {len(inputs)}"
             )
-        return tuple(
+        request = tuple(
             v if isinstance(v, PackedTensor) else np.asarray(v) for v in inputs
         )
-
-    def _batch_factor(self, request: Request) -> int:
-        """How many base-batch groups a request carries; validates inputs."""
         factor: int | None = None
         for value, base, name in zip(request, self._base_batches, self.graph.inputs):
             lead = _lead_dim(value)
@@ -346,17 +360,14 @@ class Engine:
                 )
         if not factor:
             raise ValueError("empty batch")
-        return factor
-
-    def normalize(self, inputs: Sequence[Value]) -> tuple[Request, int]:
-        """Validate ``inputs`` and return ``(canonical request, factor)``.
-
-        The serving gateway calls this at admission time so malformed
-        requests raise in the submitting caller instead of inside a
-        batcher thread.  Raises :class:`ValueError` exactly like ``run``.
-        """
-        request = self._normalize_request(inputs)
-        return request, self._batch_factor(request)
+        for value, name in zip(request, self.graph.inputs):
+            spec = self.graph.tensors[name]
+            if factor > 1 and spec.shape:
+                spec = TensorSpec(
+                    (spec.shape[0] * factor,) + spec.shape[1:], spec.dtype
+                )
+            check_value(value, spec, name)  # GraphError is a ValueError
+        return request, factor
 
     def _execute(self, plan: CompiledPlan, inputs: Request) -> tuple[Value, ...]:
         node_times: dict[str, float] = {}
@@ -398,8 +409,7 @@ class Engine:
         graph's base batch; the result is bit-identical to concatenating
         ``k`` reference-executor runs.
         """
-        request = self._normalize_request(inputs)
-        factor = self._batch_factor(request)
+        request, factor = self.normalize(inputs)
         self._m_requests.inc()
         tracer = self.tracer
         if tracer.enabled:
@@ -419,48 +429,29 @@ class Engine:
             one result per request, in order, each bit-identical to
             ``run`` on that request alone.
         """
-        normalized: list[Request] = []
-        factors: list[int] = []
-        for req in requests:
-            if not isinstance(req, (tuple, list)):
-                req = (req,)
-            request = self._normalize_request(req)
-            normalized.append(request)
-            factors.append(self._batch_factor(request))
-        self._m_requests.add(len(normalized))
-
+        items = [
+            self.normalize(req if isinstance(req, (tuple, list)) else (req,))
+            for req in requests
+        ]
+        self._m_requests.add(len(items))
         tracer = self.tracer
         if tracer.enabled:
-            with tracer.span("engine.run_many", requests=len(normalized)):
-                return self._run_coalesced(list(zip(normalized, factors)))
-        return self._run_coalesced(list(zip(normalized, factors)))
+            with tracer.span("engine.run_many", requests=len(items)):
+                return self._run_coalesced(items)
+        return self._run_coalesced(items)
 
     def _run_coalesced(self, items: list[tuple[Request, int]]) -> list[Result]:
-        results: list[Result] = []
-        for chunk in self._coalesce(items):
-            results.extend(self._run_chunk(chunk))
-        return results
-
-    def _coalesce(
-        self, items: list[tuple[Request, int]]
-    ) -> list[list[tuple[Request, int]]]:
-        """Greedy in-order grouping into micro-batches <= max_batch_size.
-
-        A single request larger than ``max_batch_size`` runs alone; the
-        ragged tail forms a final, smaller micro-batch.
-        """
         tracer = self.tracer
         if tracer.enabled:
             with tracer.span("batch.coalesce", requests=len(items)) as sp:
-                chunks = self._coalesce_inner(items)
+                chunks = greedy_chunks(items, self.max_batch_size)
                 sp.args["chunks"] = len(chunks)
-                return chunks
-        return self._coalesce_inner(items)
-
-    def _coalesce_inner(
-        self, items: list[tuple[Request, int]]
-    ) -> list[list[tuple[Request, int]]]:
-        return self.coalescer.coalesce(items, self.max_batch_size)
+        else:
+            chunks = greedy_chunks(items, self.max_batch_size)
+        results: list[Result] = []
+        for chunk in chunks:
+            results.extend(self._run_chunk(chunk))
+        return results
 
     def _run_chunk(self, chunk: list[tuple[Request, int]]) -> list[Result]:
         """Execute one micro-batch and split its outputs per request."""
@@ -484,98 +475,12 @@ class Engine:
                 per_request[i].append(piece)
         return [self._unwrap(tuple(vals)) for vals in per_request]
 
-    # ------------------------------------------------- async micro-batching
-    def submit(self, *inputs: Value) -> Future:
-        """Queue one request; returns a :class:`concurrent.futures.Future`.
-
-        A background worker coalesces whatever is pending in the queue —
-        across submitting threads — into micro-batches.
-        """
-        if self._closed:
-            raise RuntimeError("engine is closed")
-        request = self._normalize_request(inputs)
-        factor = self._batch_factor(request)
-        self._m_requests.inc()
-        future: Future = Future()
-        q = self._ensure_worker()
-        q.put((request, factor, future))
-        return future
-
-    def _ensure_worker(self) -> queue.Queue:
-        with self._worker_lock:
-            if self._closed:
-                raise RuntimeError("engine is closed")
-            if self._worker is None:
-                self._queue = queue.Queue()
-                self._worker = threading.Thread(
-                    target=self._worker_loop, name="repro-engine-batcher", daemon=True
-                )
-                self._worker.start()
-            assert self._queue is not None
-            return self._queue
-
-    def _worker_loop(self) -> None:
-        assert self._queue is not None
-        while True:
-            item = self._queue.get()
-            if item is _CLOSE:
-                return
-            pending = [item]
-            size = item[1]
-            # Dynamic batching: take whatever else is already queued, up to
-            # the batch cap, without waiting for stragglers.
-            while size < self.max_batch_size:
-                try:
-                    nxt = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if nxt is _CLOSE:
-                    self._queue.put(_CLOSE)  # re-post for the final drain
-                    break
-                pending.append(nxt)
-                size += nxt[1]
-            tracer = self.tracer
-            if tracer.enabled:
-                with tracer.span("engine.submit", requests=len(pending), size=size):
-                    self._drain_pending(pending)
-            else:
-                self._drain_pending(pending)
-
-    def _drain_pending(self, pending: list[tuple[Request, int, Future]]) -> None:
-        """Coalesce and run one drained batch of queued submissions."""
-        chunks = self._coalesce([(req, f) for req, f, _ in pending])
-        futures = [fut for _, _, fut in pending]
-        done = 0
-        for chunk in chunks:
-            chunk_futures = futures[done : done + len(chunk)]
-            done += len(chunk)
-            try:
-                results = self._run_chunk(chunk)
-            except BaseException as exc:  # propagate to all waiters
-                for fut in chunk_futures:
-                    fut.set_exception(exc)
-            else:
-                for fut, result in zip(chunk_futures, results):
-                    fut.set_result(result)
-
     def close(self) -> None:
-        """Stop the batching worker; idempotent.  ``run`` stays usable.
+        """A no-op kept for the context-manager protocol; idempotent.
 
-        Mutates the lifecycle state under the worker lock, then drains
-        and joins *outside* it — holding a lock across a queue put or a
-        thread join is exactly what the sanitizer's C003 forbids, and the
-        detached-handle shape is what makes concurrent closes safe: only
-        one caller observes the live worker.
+        The engine holds no thread or queue to release, so ``run`` and
+        ``run_many`` stay usable after ``close``.
         """
-        with self._worker_lock:
-            self._closed = True
-            worker, q = self._worker, self._queue
-            self._worker = None
-            self._queue = None
-        if worker is not None:
-            assert q is not None
-            q.put(_CLOSE)
-            worker.join()
 
     def __enter__(self) -> "Engine":
         return self

@@ -16,11 +16,11 @@ owns:
   drive every deadline with a fake clock and zero wall-clock sleeps;
 - a **warm replica pool** — ``replicas`` engines sharing one prepacked
   :class:`~repro.runtime.plan.ParamCache`, each with a worker thread.
-  A pluggable :class:`~repro.runtime.scheduler.Scheduler` places each
-  formed batch on an idle replica; a replica that keeps failing is
-  quarantined (its in-flight batch resolves to typed ``Rejected``
-  replies, never an exception leak or a deadlock) and the pool keeps
-  serving on the survivors.
+  A round-robin cursor places each formed batch on the next idle,
+  healthy replica; a replica that keeps failing is quarantined (its
+  in-flight batch resolves to typed ``Rejected`` replies, never an
+  exception leak or a deadlock) and the pool keeps serving on the
+  survivors.
 
 Observability: every admission decision and batch lands in the gateway's
 :class:`~repro.obs.metrics.MetricsRegistry` under ``gateway.*`` names
@@ -65,14 +65,8 @@ from repro.obs.events import NULL_EVENTS, EventLog, FlightRecorder, NullEventLog
 from repro.obs.metrics import MetricsRegistry, global_registry, quantile_from_counts
 from repro.obs.slo import HEALTHY, ModelHealth, SLOConfig, SLOMonitor
 from repro.obs.trace import NULL_TRACER, NullTracer, Tracer
-from repro.runtime.engine import Engine
+from repro.runtime.engine import Engine, greedy_chunks
 from repro.runtime.plan import ParamCache
-from repro.runtime.scheduler import (
-    SCHEDULERS,
-    Coalescer,
-    GreedyCoalescer,
-    Scheduler,
-)
 from repro.serving.clock import MONOTONIC_CLOCK, Clock
 
 Value = Any
@@ -129,8 +123,6 @@ class GatewayConfig:
     num_threads: int = 1
     #: consecutive batch failures before a replica is quarantined
     max_replica_failures: int = 3
-    #: replica placement policy name (see repro.runtime.scheduler.SCHEDULERS)
-    scheduler: str = "round_robin"
 
     def validate(self) -> None:
         if self.max_batch < 1:
@@ -145,11 +137,6 @@ class GatewayConfig:
             raise ValueError(
                 f"max_replica_failures must be positive, "
                 f"got {self.max_replica_failures}"
-            )
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r}; "
-                f"known: {sorted(SCHEDULERS)}"
             )
 
 
@@ -252,8 +239,6 @@ class _ModelServer:
         clock: Clock,
         metrics: MetricsRegistry,
         tracer: Tracer | NullTracer,
-        scheduler: Scheduler,
-        coalescer: Coalescer,
         gateway_counters: dict[str, Any],
         engine_factory: Callable[..., Engine] | None = None,
         events: EventLog | NullEventLog = NULL_EVENTS,
@@ -264,8 +249,6 @@ class _ModelServer:
         self._clock = clock
         self._metrics = metrics
         self._tracer = tracer
-        self._scheduler = scheduler
-        self._coalescer = coalescer
         self._g = gateway_counters
         self._events = events
         self._flight = flight
@@ -283,6 +266,7 @@ class _ModelServer:
         self._queued_factor = 0
         self._closed = False
         self._workers_closed = False
+        self._next_replica = 0  # round-robin cursor over replica indices
 
         # Warm pool: every replica shares one prepacked-weight cache, so
         # binarized filters are packed once per model, not once per engine.
@@ -453,8 +437,8 @@ class _ModelServer:
 
     def _take_batch(self) -> list[_Pending]:
         """Pop the first greedy micro-batch (called with the lock held)."""
-        items = [(p.request, p.factor) for p in self._queue]
-        first = self._coalescer.coalesce(items, self._config.max_batch)[0]
+        items = [(p, p.factor) for p in self._queue]
+        first = greedy_chunks(items, self._config.max_batch)[0]
         batch = [self._queue.popleft() for _ in range(len(first))]
         self._queued_factor -= sum(p.factor for p in batch)  # repro: allow[C005] documented contract: the batcher calls this with self._lock held
         return batch
@@ -477,9 +461,7 @@ class _ModelServer:
                     break
                 idle = [r.idx for r in healthy if not r.busy]
                 if idle:
-                    rid = self._scheduler.pick(idle)
-                    self._scheduler.record(rid)
-                    replica = self._replicas[rid]
+                    replica = self._replicas[self._pick_replica(idle)]
                     replica.busy = True
                     replica.inbox = batch
                     self._replica_cond.notify_all()
@@ -501,6 +483,18 @@ class _ModelServer:
                 p.future,
                 Rejected(self.name, SHED_NO_HEALTHY_REPLICA, "replica pool dead"),
             )
+
+    def _pick_replica(self, idle: Sequence[int]) -> int:
+        """Round-robin: the first idle replica at or after the cursor.
+
+        Called with the lock held.  Busy or quarantined replicas are
+        skipped without stalling the rotation; the cursor wraps modulo
+        the pool size.
+        """
+        n = len(self._replicas)
+        rid = min(idle, key=lambda r: (r - self._next_replica) % n)
+        self._next_replica = (rid + 1) % n  # repro: allow[C005] documented contract: _dispatch calls this with self._lock held
+        return rid
 
     # ------------------------------------------------------------- workers
     def _worker_loop(self, replica: _Replica) -> None:
@@ -654,8 +648,8 @@ class Gateway:
             monotonic wall-free clock).
         trace: optional :class:`~repro.obs.trace.Tracer`; gateway spans
             nest the replica engines' spans in the same timeline.
-        scheduler_factory: builds one placement policy per model;
-            overrides ``config.scheduler``.
+        engine_factory: builds each replica engine (same signature as
+            :class:`~repro.runtime.Engine`); defaults to ``Engine``.
         events: optional :class:`~repro.obs.events.EventLog`; when
             attached, the gateway mints request ids and emits the full
             request lifecycle (plus engine plan events) into it, on the
@@ -677,7 +671,6 @@ class Gateway:
         *,
         clock: Clock | None = None,
         trace: Tracer | None = None,
-        scheduler_factory: Callable[[], Scheduler] | None = None,
         engine_factory: Callable[..., Engine] | None = None,
         events: EventLog | None = None,
         slo: SLOConfig | Mapping[str, SLOConfig] | None = None,
@@ -697,8 +690,6 @@ class Gateway:
         self.events.use_clock(self.clock)
         self._req_seq = itertools.count(1)
         self.metrics = MetricsRegistry()
-        if scheduler_factory is None:
-            scheduler_factory = SCHEDULERS[self.config.scheduler]
 
         self._flight = flight
         if flight is not None:
@@ -744,8 +735,6 @@ class Gateway:
                 self.clock,
                 self.metrics,
                 self.tracer,
-                scheduler_factory(),
-                GreedyCoalescer(),
                 self._g,
                 engine_factory,
                 self.events,

@@ -331,15 +331,23 @@ class TestEngineStatsConsistency:
                             f"hist samples={hist_samples} != {s.samples}"
                         )
 
-            def submitter():
-                futures = [engine.submit(x) for _ in range(per_thread)]
-                for fut in futures:
-                    fut.result(timeout=30)
+            def submitter(tid: int):
+                # Interleave single runs and coalesced run_many pairs, so
+                # batches of size 1 and 2 land concurrently.
+                done = 0
+                while done < per_thread:
+                    if (tid + done) % 2 or done + 1 == per_thread:
+                        engine.run(x)
+                        done += 1
+                    else:
+                        engine.run_many([x, x])
+                        done += 2
 
             watch = threading.Thread(target=reader)
             watch.start()
             workers = [
-                threading.Thread(target=submitter) for _ in range(n_threads)
+                threading.Thread(target=submitter, args=(tid,))
+                for tid in range(n_threads)
             ]
             for w in workers:
                 w.start()

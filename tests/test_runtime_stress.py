@@ -2,8 +2,10 @@
 
 Complements :mod:`test_runtime_parity`: the parity suite proves one call is
 bit-exact; these tests prove the *engine machinery* keeps that property
-under concurrent callers, the async micro-batching worker, and arbitrary
-request/coalescing geometries (ragged tails, oversize requests).
+under concurrent callers and arbitrary request/coalescing geometries
+(ragged tails, oversize requests).  The engine owns no thread of its own,
+so these concurrent ``run``/``run_many`` callers are its whole
+concurrency surface.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ def shared_case():
 
 class TestThreadSafety:
     def test_shared_engine_across_threads(self, shared_case):
-        """8 threads hammer one Engine with mixed shapes via run/run_many/
-        submit; every result must stay bit-identical to its reference."""
+        """8 threads hammer one Engine with mixed shapes via run and
+        run_many (pairs and coalesced triples); every result must stay
+        bit-identical to its reference."""
         graph, cases = shared_case
         num_client_threads = 8
         iterations = 6
@@ -62,7 +65,12 @@ class TestThreadSafety:
                         assert_bit_identical(results[0], expected)
                         assert_bit_identical(results[1], cases[other][1])
                     else:
-                        assert_bit_identical(engine.submit(x).result(30), expected)
+                        # With cap 4 the trailing factor-1 request always
+                        # shares a micro-batch with the one before it.
+                        keys = [factor, FACTORS[(tid + i + 2) % len(FACTORS)], 1]
+                        results = engine.run_many([cases[k][0] for k in keys])
+                        for k, result in zip(keys, results):
+                            assert_bit_identical(result, cases[k][1])
             except BaseException as exc:  # surface in the main thread
                 errors.append(exc)
 
@@ -82,23 +90,22 @@ class TestThreadSafety:
         expected_requests = 0
         for tid in range(num_client_threads):
             for i in range(iterations):
-                expected_requests += 2 if (tid + i) % 3 == 1 else 1
+                expected_requests += (1, 2, 3)[(tid + i) % 3]
         assert stats.requests == expected_requests
         assert stats.samples == sum(
             size * n for size, n in stats.batch_histogram.items()
         )
 
-    def test_submit_after_close_rejected(self, shared_case):
+    def test_close_is_idempotent_and_run_still_works(self, shared_case):
         graph, cases = shared_case
         engine = Engine(graph)
         x, expected = cases[1]
-        assert_bit_identical(engine.submit(x).result(30), expected)
         engine.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            engine.submit(x)
-        # run() stays usable after close
-        assert_bit_identical(engine.run(x), expected)
         engine.close()  # idempotent
+        # close() releases nothing the synchronous paths need
+        assert_bit_identical(engine.run(x), expected)
+        [result] = engine.run_many([x])
+        assert_bit_identical(result, expected)
 
 
 class TestCoalescingFuzz:

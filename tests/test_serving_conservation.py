@@ -70,7 +70,6 @@ def _gateway_under_stress(rng, seed):
         deadline_ms=0.0,  # flush immediately: no timed waits, no advance()
         max_queue=5,  # tiny on purpose: overload must shed, not queue
         replicas=2,
-        scheduler="least_loaded",
     )
     gateway = Gateway(graphs, config, clock=FakeClock(), events=EventLog())
     return gateway, inputs, references

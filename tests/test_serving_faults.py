@@ -127,7 +127,6 @@ def test_failing_replica_quarantined_pool_survives(graph, rng):
     clock = FakeClock()
     config = GatewayConfig(
         max_batch=1, deadline_ms=50.0, replicas=2, max_replica_failures=2,
-        scheduler="round_robin",
     )
     gw, built = _flaky_pool(
         graph, config, clock,

@@ -21,13 +21,7 @@ from test_runtime_parity import (
 )
 
 from repro.core.types import Padding
-from repro.runtime.engine import Engine
-from repro.runtime.scheduler import (
-    SCHEDULERS,
-    GreedyCoalescer,
-    LeastLoadedScheduler,
-    RoundRobinScheduler,
-)
+from repro.runtime.engine import Engine, greedy_chunks
 from repro.serving import (
     SHED_CLOSED,
     SHED_QUEUE_FULL,
@@ -285,8 +279,14 @@ def test_malformed_input_raises_synchronously(graph):
             gw.submit("m", np.zeros((1, 8, 8, 8), np.float32), np.zeros(3))
         with pytest.raises(ValueError):  # empty batch
             gw.submit("m", np.zeros((0, 8, 8, 8), np.float32))
+        # A wrong trailing shape must raise here too, not inside a replica
+        # worker where it would count toward quarantining a healthy engine.
+        for _ in range(gw.config.max_replica_failures):
+            with pytest.raises(ValueError, match="shape"):
+                gw.submit("m", np.zeros((1, 8, 8, 5), np.float32))
         stats = gw.stats()
     assert stats.submitted == 0  # rejected before admission accounting
+    assert stats.replicas_healthy == {"m": gw.config.replicas}
 
 
 def test_close_drains_admitted_requests(graph, rng):
@@ -426,42 +426,36 @@ def test_stats_snapshot_is_consistent(graph, rng):
 # ------------------------------------------------------ policy unit tests
 
 
-def test_round_robin_scheduler_cycles():
-    rr = RoundRobinScheduler()
+def _picks(server, idle_sets):
     picks = []
-    for _ in range(4):
-        rid = rr.pick([0, 1])
-        rr.record(rid)
-        picks.append(rid)
-    assert picks == [0, 1, 0, 1]
-    # With only one candidate idle it must still pick it.
-    rid = rr.pick([1])
-    assert rid == 1
+    for idle in idle_sets:
+        with server._lock:  # _dispatch's calling contract
+            picks.append(server._pick_replica(idle))
+    return picks
 
 
-def test_least_loaded_scheduler_balances():
-    ll = LeastLoadedScheduler()
-    first = ll.pick([0, 1])
-    ll.record(first)
-    second = ll.pick([0, 1])
-    assert second != first
-    ll.record(second)
-    ll.record(second)
-    assert ll.pick([first, second]) == first
+def test_round_robin_scheduler_cycles(graph):
+    with make_gateway(graph, FakeClock(), replicas=2) as gw:
+        server = gw.server("m")
+        assert _picks(server, [[0, 1]] * 4) == [0, 1, 0, 1]
+        # With only one candidate idle it must still pick it.
+        assert _picks(server, [[1]]) == [1]
 
 
-def test_scheduler_registry_matches_config():
-    for name in SCHEDULERS:
-        GatewayConfig(scheduler=name).validate()
-    with pytest.raises(ValueError):
-        GatewayConfig(scheduler="fifo").validate()
+def test_round_robin_cursor_wraps_modulo_pool_size(graph):
+    """After replica 2 of 3, the cursor wraps to 0 — not to the lowest
+    candidate modulo ``max(idle) + 1`` (which picked 1 and skipped 0)."""
+    with make_gateway(graph, FakeClock(), replicas=3) as gw:
+        server = gw.server("m")
+        assert _picks(server, [[0, 1, 2]] * 3) == [0, 1, 2]
+        assert _picks(server, [[0, 1]]) == [0]
+        assert _picks(server, [[0, 2], [0, 1, 2]]) == [2, 0]
 
 
 def test_greedy_coalescer_chunks():
-    c = GreedyCoalescer()
-    chunks = c.coalesce([("a", 2), ("b", 1), ("c", 2)], max_batch=4)
+    chunks = greedy_chunks([("a", 2), ("b", 1), ("c", 2)], max_batch=4)
     assert [[x for x, _ in chunk] for chunk in chunks] == [["a", "b"], ["c"]]
-    assert c.coalesce([("x", 5)], max_batch=4) == [[("x", 5)]]
+    assert greedy_chunks([("x", 5)], max_batch=4) == [[("x", 5)]]
 
 
 @pytest.mark.parametrize(
