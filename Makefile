@@ -1,6 +1,6 @@
 # Convenience targets for the LCE reproduction.
 
-.PHONY: test test-fast test-slow test-serving lint analyze check sanitize sanitize-smoke trace-smoke serve-smoke calibrate-smoke tune-smoke telemetry-smoke bench bench-fast bench-serving experiments appendix extensions examples all
+.PHONY: test test-fast test-slow test-serving lint analyze check sanitize sanitize-smoke trace-smoke serve-smoke calibrate-smoke tune-smoke telemetry-smoke bench bench-fast bench-serving bench-repo experiments appendix extensions examples all
 
 test:
 	pytest tests/
@@ -109,6 +109,11 @@ bench:
 # speedups from an in-process autotune search).
 bench-fast:
 	pytest benchmarks/test_kernel_microbench.py --benchmark-only
+
+# The repo benchmark (BENCHMARK.json): each workload untraced then traced,
+# every metric printed by name with its unit, replies checked bit-exact.
+bench-repo:
+	python3 lcebench/run.py --workload all
 
 # Serving gateway throughput/latency curves vs offered load; writes
 # machine-readable BENCH_serving.json (>= 3 points + metrics snapshot +

@@ -100,10 +100,24 @@ SPEEDUP_FLOOR = 1.30
 TUNED_REGRESSION_TOLERANCE = 1.05
 
 
+def _allocating_bgemm(a, b, depth):
+    """The pre-arena blocked BGEMM: one freshly allocated full-depth 3-D
+    XOR broadcast (:func:`bgemm`) per default-sized output panel."""
+    tm, tn = DEFAULT_CONFIG.tile_m, DEFAULT_CONFIG.tile_n
+    out = np.empty((a.shape[0], b.shape[0]), np.int32)
+    for i0 in range(0, a.shape[0], tm):
+        for j0 in range(0, b.shape[0], tn):
+            out[i0 : i0 + tm, j0 : j0 + tn] = bgemm(
+                a[i0 : i0 + tm], b[j0 : j0 + tn], depth
+            )
+    return out
+
+
 def _dynamic_bconv2d(x, filters, params, in_h, in_w):
     """Replica of the pre-arena hot path: every call recomputes the gather
     geometry (meshgrid), stages a fresh ``np.pad`` copy, materializes a new
-    patch matrix and lets the blocked BGEMM allocate its own temporaries.
+    patch matrix and runs the allocating per-panel BGEMM of that era
+    (:func:`_allocating_bgemm`), not the library's current tile kernel.
 
     ``conv_geometry.__wrapped__`` bypasses the memo so the per-call cost is
     the historical one, not the post-optimization one.
@@ -124,7 +138,7 @@ def _dynamic_bconv2d(x, filters, params, in_h, in_w):
     cols = ox.reshape(-1, 1) + kx.reshape(1, -1)
     patches = padded[:, rows, cols, :]
     patches = patches.reshape(n * geom.out_h * geom.out_w, kh * kw * words)
-    return bgemm_blocked(patches, filters.bits, params.depth)
+    return _allocating_bgemm(patches, filters.bits, params.depth)
 
 
 def _plan_bconv2d(x, filters, params, ind, ws):
@@ -149,7 +163,6 @@ def _tuned_bconv2d(x, filters, params, ind, ws, config):
         params.depth,
         tile_m=config.tile_m,
         tile_n=config.tile_n,
-        tile_k_words=config.tile_k_words,
         out=out,
         workspace=ws,
     )

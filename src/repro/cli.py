@@ -989,7 +989,7 @@ def cmd_tunings(args) -> int:
             print(
                 f"  {entry.geometry.key} @ {entry.device_profile_id}: "
                 f"tile_m={cfg.tile_m} tile_n={cfg.tile_n} "
-                f"tile_k_words={cfg.tile_k_words} im2col={cfg.im2col} "
+                f"im2col={cfg.im2col} "
                 f"grain={cfg.thread_grain}  "
                 f"best {entry.best_us:.0f}us default {entry.default_us:.0f}us "
                 f"(x{entry.speedup:.2f}, {entry.candidates} candidates, "

@@ -309,12 +309,11 @@ def _bgemm(
             a, b, depth, num_threads=num_threads,
             tile_m=config.tile_m, tile_n=config.tile_n,
             out=out, workspace=workspace,
-            tile_k_words=config.tile_k_words,
             thread_grain=config.thread_grain,
         )
     return bgemm_blocked(
         a, b, depth, tile_m=config.tile_m, tile_n=config.tile_n,
-        out=out, workspace=workspace, tile_k_words=config.tile_k_words,
+        out=out, workspace=workspace,
     )
 
 
@@ -411,16 +410,22 @@ def reserve_bconv2d_workspace(
         )
     pool.reserve("bconv/patches", m * ind.taps * words, np.uint64)
     pool.reserve("bconv/acc", m * params.out_channels, np.int32)
-    # Grouped calls run BGEMM per group with narrower operands; the
-    # ungrouped sizes below dominate, so one reservation covers both.
-    for name, size, dtype in bgemm_scratch_spec(
-        m, params.out_channels, num_threads,
-        tile_m=config.tile_m, tile_n=config.tile_n,
-        tile_k_words=config.tile_k_words,
-        words=ind.taps * words,
-        thread_grain=config.thread_grain,
-    ):
-        pool.reserve(name, size, dtype)
+    # Grouped calls run BGEMM per group with narrower operands, whose
+    # smaller tiles can take larger K blocks: reserve for both shapes
+    # (the pool keeps the max per buffer name).
+    shapes = {(params.out_channels, ind.taps * words)}
+    if params.groups > 1:
+        shapes.add((
+            params.out_channels // params.groups,
+            ind.taps * packed_words(params.in_channels // params.groups),
+        ))
+    for n, k_words in shapes:
+        for name, size, dtype in bgemm_scratch_spec(
+            m, n, k_words, num_threads,
+            tile_m=config.tile_m, tile_n=config.tile_n,
+            thread_grain=config.thread_grain,
+        ):
+            pool.reserve(name, size, dtype)
     return ind
 
 

@@ -20,6 +20,12 @@ from repro.core.bitpack import PackedTensor
 from repro.core.types import Padding
 from repro.obs.metrics import global_registry
 
+#: entry bound of every geometry memo (the three ``lru_cache`` tables
+#: below and the indirection cache): far above the distinct conv
+#: geometries of any zoo model set, yet a stream of novel input shapes
+#: cannot grow process memory without limit.
+GEOMETRY_CACHE_SIZE = 256
+
 
 @dataclass(frozen=True)
 class ConvGeometry:
@@ -38,7 +44,7 @@ def effective_kernel(k: int, dilation: int) -> int:
     return (k - 1) * dilation + 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def conv_geometry(
     in_h: int,
     in_w: int,
@@ -81,7 +87,7 @@ def conv_geometry(
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def gather_indices(
     geom: ConvGeometry,
     kernel_h: int,
@@ -176,7 +182,7 @@ def im2col_packed(
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def padded_tap_mask(
     in_h: int,
     in_w: int,

@@ -8,7 +8,8 @@ flat int32 index array mapping every ``(output pixel, kernel tap)`` pair
 to a word row of the spatially padded input.  At run time the im2col
 stage is then a single ``np.take`` into a reused patch buffer.
 
-The :class:`Indirection` for a key is memoized in a process-level cache:
+The :class:`Indirection` for a key is memoized in a process-level LRU
+cache bounded at :data:`~repro.core.im2col.GEOMETRY_CACHE_SIZE` entries:
 eager ``bconv2d`` calls, the reference executor and every compiled plan
 of every batch size share one entry per layer geometry.  Compiled plans
 additionally pin their nodes' indirections in the plan's
@@ -19,6 +20,7 @@ never takes the cache lock.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +28,7 @@ import numpy as np
 from repro.concurrency.locks import ordered_lock
 from repro.core.bitpack import PackedTensor
 from repro.core.im2col import (
+    GEOMETRY_CACHE_SIZE,
     ConvGeometry,
     conv_geometry,
     gather_indices,
@@ -82,7 +85,8 @@ class Indirection:
         return total
 
 
-_CACHE: dict[tuple, Indirection] = {}
+#: least recently used first; at most GEOMETRY_CACHE_SIZE entries
+_CACHE: OrderedDict[tuple, Indirection] = OrderedDict()
 _LOCK = ordered_lock("core.indirection")
 _HITS = 0
 _MISSES = 0
@@ -140,6 +144,7 @@ def get_indirection(
         ind = _CACHE.get(key)
         if ind is not None:
             _HITS += 1
+            _CACHE.move_to_end(key)
     if ind is not None:
         if tracer.enabled:
             tracer.record(
@@ -153,6 +158,8 @@ def get_indirection(
         if ind is None:
             _MISSES += 1
             ind = _CACHE[key] = built
+            if len(_CACHE) > GEOMETRY_CACHE_SIZE:
+                _CACHE.popitem(last=False)
         else:
             _HITS += 1
             built = ind

@@ -6,12 +6,9 @@ searches over and :func:`repro.runtime.plan.compile_plan` applies when a
 tuning cache supplies a measured winner:
 
 - ``tile_m`` / ``tile_n`` — BGEMM output-panel blocking
-  (:func:`repro.core.bgemm.bgemm_blocked`);
-- ``tile_k_words`` — word-column (K) blocking inside one output panel:
-  ``1`` keeps the cache-resident word-at-a-time kernel, larger values
-  materialize 3-D XOR blocks of that many packed words per step (a value
-  ``>= words`` reproduces the full-broadcast kernel under a bounded
-  workspace);
+  (:func:`repro.core.bgemm.bgemm_blocked`).  There is no K knob: the
+  word-major tile kernel sizes its own packed-word blocks from the tile
+  shape (:func:`repro.core.bgemm._k_block`);
 - ``im2col`` — patch materialization strategy: ``"indirect"`` gathers
   through the precomputed indirection buffer, ``"direct"`` copies one
   strided slice per kernel tap;
@@ -43,7 +40,6 @@ class KernelConfig:
 
     tile_m: int = 256
     tile_n: int = 128
-    tile_k_words: int = 1
     im2col: str = "indirect"
     thread_grain: int = 1
 
@@ -85,7 +81,7 @@ def validate_kernel_config(obj) -> list[str]:
         problems.append(f"missing fields: {sorted(missing)}")
     if extra:
         problems.append(f"unknown fields: {sorted(extra)}")
-    for key in ("tile_m", "tile_n", "tile_k_words", "thread_grain"):
+    for key in ("tile_m", "tile_n", "thread_grain"):
         value = obj.get(key)
         if key in missing:
             continue

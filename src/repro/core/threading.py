@@ -10,16 +10,16 @@ genuine parallel speedup on multi-core hosts.
 Workspace interaction: worker threads must not grow shared buffers, so
 tiles are assigned round-robin to a fixed number of *slots* and each slot
 owns private scratch buffers named ``{prefix}/{slot}/*``.  The calling
-thread pre-touches every slot's buffers at full tile size before
-dispatching, after which workers only ever read the workspace's buffer
-dict — no locking, no reallocation, and disjoint scratch per worker.
+thread pre-touches every slot's buffers at full tile size and writes the
+shared word-major copy of ``b`` (``{prefix}/bt``) before dispatching,
+after which workers only ever read the workspace's buffer dict — no
+locking, no reallocation, and disjoint scratch per worker.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,13 +29,13 @@ from repro.core.bgemm import (
     _check_operands,
     _check_out,
     _check_tiles,
+    _k_block,
     _tile_into,
+    _word_major,
 )
 from repro.core.bgemm import bgemm_blocked
+from repro.core.workspace import Workspace
 from repro.obs.trace import active_tracer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.workspace import Workspace
 
 
 def _num_slots(
@@ -54,27 +54,27 @@ def _num_slots(
 def bgemm_scratch_spec(
     m: int,
     n: int,
+    words: int,
     num_threads: int = 1,
     tile_m: int = _TILE_M,
     tile_n: int = _TILE_N,
     prefix: str = "bgemm",
-    tile_k_words: int = 1,
-    words: int | None = None,
     thread_grain: int = 1,
 ) -> list[tuple[str, int, np.dtype]]:
     """The ``(name, size, dtype)`` scratch reservations a BGEMM call needs.
 
     Mirrors the dispatch in :func:`bgemm_parallel`: single-threaded (or
     single-tile) calls use unslotted ``{prefix}/*`` buffers, parallel calls
-    use one ``{prefix}/{slot}/*`` set per slot.  The word-at-a-time tile
-    kernel (``tile_k_words == 1``) uses 2-D temporaries whose sizes depend
-    only on the tile shape; K-blocked tiles (``tile_k_words > 1``) add 3-D
-    XOR/popcount blocks sized by ``words`` (required then).  Kernel
-    factories feed this into
-    :meth:`repro.core.workspace.WorkspacePool.reserve` at plan-compile
-    time so the arena is fully sized before the first inference.
+    use one ``{prefix}/{slot}/*`` set per slot; all share ``{prefix}/bt``.
+    ``xor3``/``pop3`` hold the largest ``kb * mt * nt`` block over every
+    tile shape of the split (a ragged edge tile can take a larger K block
+    than a full one; see :func:`repro.core.bgemm._tile_into`), and
+    ``ksum`` exists only when a tile needs several.  Kernel factories feed
+    this into :meth:`repro.core.workspace.WorkspacePool.reserve` at
+    plan-compile time so the arena is fully sized before the first
+    inference.
     """
-    _check_tiles(tile_m, tile_n, tile_k_words)
+    _check_tiles(tile_m, tile_n)
     mt = min(tile_m, m)
     nt = min(tile_n, n)
     if num_threads == 1 or m <= tile_m:
@@ -84,21 +84,18 @@ def bgemm_scratch_spec(
             f"{prefix}/{slot}"
             for slot in range(_num_slots(m, tile_m, num_threads, thread_grain))
         ]
-    kb = 0
-    if tile_k_words > 1:
-        if words is None:
-            raise ValueError("tile_k_words > 1 requires the operand word count")
-        kb = min(tile_k_words, words)
-    spec: list[tuple[str, int, np.dtype]] = []
+    block = max(
+        _k_block(em, en, words) * em * en
+        for em in {mt, m % tile_m or mt}
+        for en in {nt, n % tile_n or nt}
+    )
+    spec = [(f"{prefix}/bt", words * n, np.dtype(np.uint64))]
     for p in prefixes:
-        if kb:
-            spec.append((f"{p}/xor3", mt * nt * kb, np.dtype(np.uint64)))
-            spec.append((f"{p}/pop3", mt * nt * kb, np.dtype(np.uint8)))
-            spec.append((f"{p}/ksum", mt * nt, np.dtype(np.int32)))
-        else:
-            spec.append((f"{p}/xor", mt * nt, np.dtype(np.uint64)))
-            spec.append((f"{p}/pop", mt * nt, np.dtype(np.uint8)))
+        spec.append((f"{p}/xor3", block, np.dtype(np.uint64)))
+        spec.append((f"{p}/pop3", block, np.dtype(np.uint8)))
         spec.append((f"{p}/out", mt * nt, np.dtype(np.int32)))
+        if _k_block(mt, nt, words) < words:
+            spec.append((f"{p}/ksum", mt * nt, np.dtype(np.int32)))
     return spec
 
 
@@ -112,7 +109,6 @@ def bgemm_parallel(
     out: np.ndarray | None = None,
     workspace: Workspace | None = None,
     prefix: str = "bgemm",
-    tile_k_words: int = 1,
     thread_grain: int = 1,
 ) -> np.ndarray:
     """Blocked BGEMM with row panels distributed over a thread pool.
@@ -129,7 +125,7 @@ def bgemm_parallel(
     # Validate tiles before the dispatch below: the parallel branch used
     # to skip validation entirely, so a non-positive tile_n made every
     # worker's panel range empty and returned uninitialized output.
-    _check_tiles(tile_m, tile_n, tile_k_words)
+    _check_tiles(tile_m, tile_n)
     if num_threads <= 0:
         raise ValueError(f"num_threads must be positive, got {num_threads}")
     if not isinstance(thread_grain, (int, np.integer)) or isinstance(
@@ -143,7 +139,7 @@ def bgemm_parallel(
     if num_threads == 1 or m <= tile_m:
         return bgemm_blocked(
             a, b, depth, tile_m, tile_n, out=out, workspace=workspace,
-            prefix=prefix, tile_k_words=tile_k_words,
+            prefix=prefix,
         )
     out = _check_out(out, m, n)
     tiles = range(0, m, tile_m)
@@ -151,28 +147,29 @@ def bgemm_parallel(
         tiles[u : u + thread_grain] for u in range(0, len(tiles), thread_grain)
     ]
     slots = _num_slots(m, tile_m, num_threads, thread_grain)
-    if workspace is not None:
-        for name, size, dtype in bgemm_scratch_spec(
-            m, n, num_threads, tile_m, tile_n, prefix,
-            tile_k_words=tile_k_words, words=int(a.shape[1]),
-            thread_grain=thread_grain,
-        ):
-            workspace.reserve(name, size, dtype)
+    if workspace is None:
+        workspace = Workspace()
+    for name, size, dtype in bgemm_scratch_spec(
+        m, n, int(a.shape[1]), num_threads, tile_m, tile_n, prefix,
+        thread_grain=thread_grain,
+    ):
+        workspace.reserve(name, size, dtype)
+
+    at, bt = _word_major(a, b, workspace, prefix)
 
     def worker(slot: int) -> None:
         slot_prefix = f"{prefix}/{slot}"
         for unit in units[slot::slots]:
             for i0 in unit:
-                a_panel = a[i0 : i0 + tile_m]
+                at_panel = at[:, i0 : i0 + tile_m]
                 for j0 in range(0, n, tile_n):
                     _tile_into(
-                        a_panel,
-                        b[j0 : j0 + tile_n],
+                        at_panel,
+                        bt[:, j0 : j0 + tile_n],
                         depth,
                         out[i0 : i0 + tile_m, j0 : j0 + tile_n],
                         workspace,
                         slot_prefix,
-                        tile_k_words,
                     )
 
     # The span covers dispatch + all workers; recorded from the calling

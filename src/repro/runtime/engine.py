@@ -331,10 +331,13 @@ class Engine:
 
         ``factor`` is how many base-batch groups the request carries.
         Every input is checked against its graph spec rebatched to that
-        factor (trailing dims, packed or unpacked), so the serving gateway
-        can call this at admission time and malformed requests raise
+        factor (trailing dims, packed or unpacked) and unpacked inputs must
+        have an integer or float dtype — a complex or object array would
+        otherwise be silently coerced by the kernels.  The serving gateway
+        calls this at admission time, so malformed requests raise
         :class:`ValueError` in the submitting caller instead of failing a
-        replica.  ``run`` and ``run_many`` validate through it too.
+        replica or returning a wrong reply.  ``run`` and ``run_many``
+        validate through it too.
         """
         if len(inputs) != len(self.graph.inputs):
             raise ValueError(
@@ -345,6 +348,11 @@ class Engine:
         )
         factor: int | None = None
         for value, base, name in zip(request, self._base_batches, self.graph.inputs):
+            if not isinstance(value, PackedTensor) and value.dtype.kind not in "iuf":
+                raise ValueError(
+                    f"input {name!r}: dtype {value.dtype} is not an integer "
+                    "or float type"
+                )
             lead = _lead_dim(value)
             if lead % base:
                 raise ValueError(

@@ -24,7 +24,9 @@ from repro.core.kernel_config import KernelConfig, validate_kernel_config
 from repro.tune.geometry import ConvGeometryKey
 
 TUNING_SCHEMA = "repro.tuning_cache"
-TUNING_SCHEMA_VERSION = 1
+#: v2 dropped the K-blocking knob from the stored configs; older
+#: artifacts name a schedule the kernels no longer have and must be re-tuned.
+TUNING_SCHEMA_VERSION = 2
 
 
 class TuningError(ValueError):
@@ -190,6 +192,11 @@ def validate_tuning(obj) -> list[str]:
         problems.append(
             f"schema_version {version} is newer than supported "
             f"{TUNING_SCHEMA_VERSION}"
+        )
+    elif version < TUNING_SCHEMA_VERSION:
+        problems.append(
+            f"schema_version {version} is older than supported "
+            f"{TUNING_SCHEMA_VERSION}; re-run the tuner"
         )
     if not isinstance(obj.get("name"), str) or not obj.get("name"):
         problems.append("name must be a non-empty string")

@@ -7,8 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.bgemm import bgemm, bgemm_blocked, bgemm_reference
+from repro.core.bgemm import (
+    _BLOCK_ELEMS,
+    _k_block,
+    bgemm,
+    bgemm_blocked,
+    bgemm_reference,
+)
 from repro.core.bitpack import pack_bits
+from repro.core.threading import bgemm_scratch_spec
+from repro.core.workspace import Workspace
 
 
 def _random_operands(rng, m, n, depth):
@@ -60,9 +68,10 @@ class TestBlockedKernel:
 
 
 class TestTileEdgeCases:
-    """Adversarial tile grid: every (tile_m, tile_n, tile_k_words) split —
-    degenerate, non-divisor, oversized — must be bit-identical to the
-    un-tiled kernel, because the accumulator is exact integer math."""
+    """Adversarial tile grid: every (tile_m, tile_n) split — degenerate,
+    non-divisor, oversized — and every K-block split the word-major kernel
+    picks must be bit-identical to the un-tiled kernel, because the
+    accumulator is exact integer math."""
 
     @pytest.mark.parametrize("tile_m", [1, 3, 33, 34, 1000])
     @pytest.mark.parametrize("tile_n", [1, 5, 17, 18, 1000])
@@ -72,34 +81,38 @@ class TestTileEdgeCases:
             bgemm_blocked(pa, pb, 190, tile_m, tile_n), bgemm(pa, pb, 190)
         )
 
-    @pytest.mark.parametrize("tile_k_words", [1, 2, 3, 5, 8, 100])
-    def test_k_word_blocking_is_bit_identical(self, rng, tile_k_words):
-        # 300 bits -> 5 words: covers kb < words, kb == words (no split),
-        # non-divisor kb, and kb far beyond the operand width.
-        _, _, pa, pb = _random_operands(rng, 21, 13, 300)
+    @pytest.mark.parametrize("words", [1, 2, 3, 5, 8, 100])
+    def test_k_word_blocking_is_bit_identical(self, rng, words):
+        # One 64x128 tile takes K blocks of _BLOCK_ELEMS // 8192 words:
+        # small word counts fit one block, 100 words split into several
+        # with a ragged last block.
+        depth = 64 * words - 3
+        _, _, pa, pb = _random_operands(rng, 64, 128, depth)
         assert np.array_equal(
-            bgemm_blocked(pa, pb, 300, tile_k_words=tile_k_words),
-            bgemm(pa, pb, 300),
+            bgemm_blocked(pa, pb, depth), bgemm_reference(pa, pb, depth)
         )
 
     def test_all_three_axes_split_at_once(self, rng):
-        _, _, pa, pb = _random_operands(rng, 50, 30, 400)
+        # Full 70x90 tiles take several K blocks; the ragged 30-row and
+        # 10-column edge tiles take larger (or single) ones.
+        _, _, pa, pb = _random_operands(rng, 100, 100, 1600)
+        assert _k_block(70, 90, 25) < 25
         assert np.array_equal(
-            bgemm_blocked(pa, pb, 400, tile_m=7, tile_n=11, tile_k_words=3),
-            bgemm(pa, pb, 400),
+            bgemm_blocked(pa, pb, 1600, tile_m=70, tile_n=90),
+            bgemm(pa, pb, 1600),
         )
 
     def test_tiles_larger_than_matrix(self, rng):
         _, _, pa, pb = _random_operands(rng, 4, 3, 64)
         assert np.array_equal(
-            bgemm_blocked(pa, pb, 64, tile_m=4096, tile_n=4096, tile_k_words=64),
+            bgemm_blocked(pa, pb, 64, tile_m=4096, tile_n=4096),
             bgemm(pa, pb, 64),
         )
 
     @pytest.mark.parametrize(
         "kw",
         [{"tile_m": 0}, {"tile_n": 0}, {"tile_m": -4}, {"tile_n": -4},
-         {"tile_k_words": 0}, {"tile_k_words": -1}],
+         {"tile_m": np.int64(0)}, {"tile_n": np.int64(-1)}],
     )
     def test_rejects_non_positive_tiles(self, rng, kw):
         _, _, pa, pb = _random_operands(rng, 4, 4, 64)
@@ -108,12 +121,69 @@ class TestTileEdgeCases:
 
     @pytest.mark.parametrize(
         "kw",
-        [{"tile_m": 2.0}, {"tile_n": "8"}, {"tile_k_words": True}],
+        [{"tile_m": 2.0}, {"tile_n": "8"}, {"tile_m": True}],
     )
     def test_rejects_non_integer_tiles(self, rng, kw):
         _, _, pa, pb = _random_operands(rng, 4, 4, 64)
         with pytest.raises(TypeError):
             bgemm_blocked(pa, pb, 64, **kw)
+
+
+def _reserved_workspace(m, n, words, tile_m, tile_n, num_threads=1):
+    ws = Workspace()
+    for name, size, dtype in bgemm_scratch_spec(
+        m, n, words, num_threads, tile_m, tile_n
+    ):
+        ws.reserve(name, size, dtype)
+    return ws
+
+
+class TestWordMajorKernel:
+    """The word-major tile kernel against the scalar gold standard, with
+    and without a spec-sized workspace, in each K-blocking regime."""
+
+    #: (m, n, depth, tile_m, tile_n) and the regime each case pins down
+    CASES = {
+        # 21x13 tile, 5 words: every word in one K block
+        "one_block": (21, 13, 300, 256, 128),
+        # 64x128 tile: 8-word blocks, 21 words -> 8 + 8 + 5
+        "ragged_blocks": (64, 128, 21 * 64, 256, 128),
+        # one 257x257 tile is larger than a block: one word per block
+        "kb_one": (257, 257, 150, 512, 512),
+        "single_row": (1, 200, 7 * 64 - 11, 256, 128),
+        # ragged tile_m/tile_n edges on both axes
+        "ragged_edges": (50, 30, 1000, 7, 11),
+    }
+
+    def test_cases_cover_their_regimes(self):
+        assert _k_block(21, 13, 5) == 5
+        kb = _k_block(64, 128, 21)
+        assert 1 < kb < 21 and 21 % kb
+        assert 257 * 257 > _BLOCK_ELEMS and _k_block(257, 257, 3) == 1
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bit_exact_against_reference(self, rng, case):
+        m, n, depth, tile_m, tile_n = self.CASES[case]
+        _, _, pa, pb = _random_operands(rng, m, n, depth)
+        expected = bgemm_reference(pa, pb, depth)
+        assert np.array_equal(
+            bgemm_blocked(pa, pb, depth, tile_m, tile_n), expected
+        )
+        ws = _reserved_workspace(m, n, pa.shape[1], tile_m, tile_n)
+        grows = ws.grows
+        out = np.empty((m, n), np.int32)
+        for _ in range(2):
+            got = bgemm_blocked(
+                pa, pb, depth, tile_m, tile_n, out=out, workspace=ws
+            )
+            assert got is out and np.array_equal(got, expected)
+            assert ws.grows == grows, "spec-sized arena grew"
+
+    def test_ksum_reserved_only_for_several_blocks(self):
+        one = {name for name, _, _ in bgemm_scratch_spec(21, 13, 5)}
+        several = {name for name, _, _ in bgemm_scratch_spec(64, 128, 21)}
+        assert one == {"bgemm/bt", "bgemm/xor3", "bgemm/pop3", "bgemm/out"}
+        assert several == one | {"bgemm/ksum"}
 
 
 class TestValidation:

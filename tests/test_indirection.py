@@ -5,8 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.bconv2d import (
+    BConv2DParams,
+    bconv2d,
+    bconv2d_reference,
+    pack_filters,
+    zero_padding_correction,
+)
 from repro.core.bitpack import pack_bits
-from repro.core.im2col import im2col_packed
+from repro.core.im2col import (
+    GEOMETRY_CACHE_SIZE,
+    conv_geometry,
+    gather_indices,
+    geometry_cache_clear,
+    im2col_packed,
+    padded_tap_mask,
+)
 from repro.core.indirection import (
     get_indirection,
     im2col_indirect,
@@ -107,3 +121,41 @@ class TestWorkspacePath:
         x = pack_bits(rng.standard_normal((1, 7, 7, 64)).astype(np.float32))
         with pytest.raises(ValueError, match="indirection was built for"):
             im2col_indirect(x, ind)
+
+
+class TestBoundedCaches:
+    def test_eviction_keeps_bound_and_bit_exactness(self, rng):
+        """More distinct geometries than the bound: every memo stays at or
+        below it, the least recently used entry is evicted, and a conv on
+        the evicted geometry rebuilds it bit-exactly."""
+        indirection_cache_clear()
+        geometry_cache_clear()
+        first = (5, 6, 3, 3, 1, 1, Padding.SAME_ZERO)
+        get_indirection(*first)
+        for i in range(GEOMETRY_CACHE_SIZE + 20):
+            get_indirection(6 + i, 5, 3, 3, 1, 1, Padding.SAME_ZERO)
+            assert indirection_cache_stats().entries <= GEOMETRY_CACHE_SIZE
+        assert indirection_cache_stats().entries == GEOMETRY_CACHE_SIZE
+        for memo in (conv_geometry, gather_indices, padded_tap_mask):
+            assert memo.cache_info().currsize == GEOMETRY_CACHE_SIZE
+        misses = indirection_cache_stats().misses
+        x = rng.standard_normal((2, 5, 6, 70)).astype(np.float32)
+        w = rng.choice([-1.0, 1.0], (3, 3, 70, 4)).astype(np.float32)
+        p = BConv2DParams(3, 3, 70, 4, padding=Padding.SAME_ZERO)
+        got = bconv2d(
+            pack_bits(x), pack_filters(w), p,
+            padding_correction=zero_padding_correction(w, p, 5, 6),
+        )
+        assert indirection_cache_stats().misses == misses + 1  # was evicted
+        assert np.array_equal(got, bconv2d_reference(x, w, p))
+        indirection_cache_clear()
+        geometry_cache_clear()
+
+    def test_hit_refreshes_recency(self):
+        indirection_cache_clear()
+        hot = get_indirection(5, 6, 3, 3, 1, 1, Padding.SAME_ONE)
+        for i in range(GEOMETRY_CACHE_SIZE + 5):
+            assert get_indirection(5, 6, 3, 3, 1, 1, Padding.SAME_ONE) is hot
+            get_indirection(6 + i, 5, 3, 3, 1, 1, Padding.SAME_ONE)
+        assert get_indirection(5, 6, 3, 3, 1, 1, Padding.SAME_ONE) is hot
+        indirection_cache_clear()

@@ -92,6 +92,23 @@ class TestInputValidation:
             with pytest.raises(ValueError, match="empty"):
                 engine.run(np.zeros((0, 6, 6, 3), np.float32))
 
+    @pytest.mark.parametrize("dtype", [np.complex64, object])
+    def test_rejects_non_numeric_dtype(self, rng, dtype):
+        # Regression: complex input used to drop its imaginary part (with
+        # only a ComplexWarning) and object input ran through as well.
+        g = _small_net(rng)
+        x = rng.standard_normal((1, 6, 6, 3)).astype(dtype)
+        with Engine(g) as engine:
+            with pytest.raises(ValueError, match=f"input {g.inputs[0]!r}: dtype"):
+                engine.run(x)
+
+    def test_float64_input_matches_float32(self, rng):
+        x = rng.standard_normal((2, 6, 6, 3))
+        with Engine(_small_net(rng)) as engine:
+            out64 = engine.run(x)
+            out32 = engine.run(x.astype(np.float32))
+        assert out64.dtype == out32.dtype and np.array_equal(out64, out32)
+
 
 class TestCaching:
     def test_plan_cache_counters(self, rng):

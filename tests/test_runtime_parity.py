@@ -26,7 +26,10 @@ import numpy as np
 import pytest
 
 from repro.converter import convert
+from repro.core.bconv2d import BConv2DParams, bconv2d_reference
+from repro.core.bgemm import _k_block
 from repro.core.bitpack import PackedTensor, pack_bits
+from repro.core.kernel_config import DEFAULT_CONFIG
 from repro.core.types import Activation, Padding
 from repro.graph.builder import GraphBuilder
 from repro.graph.executor import Executor
@@ -389,6 +392,41 @@ def test_plan_workspace_preallocated_from_reservations(rng):
         engine.run(_batched_input(graph, 1, rng))
         assert plan.workspace.workspaces()[0] is ws
         assert ws.grows == grows, "execution grew a buffer past its reservation"
+
+
+def _float_reference_case(rng, batch):
+    """One converted binarized conv sized so its BGEMM (M = batch*17*17,
+    N = 130, 9 packed words) takes several K blocks, a ragged last block
+    and ragged edge tiles in both M and N under the default tiles."""
+    cin, cout = 64, 130
+    w = rng.standard_normal((3, 3, cin, cout)).astype(np.float32)
+    b = GraphBuilder((1, 17, 17, cin))
+    x = b.binarize(b.input)
+    x = b.conv2d(x, w, binary_weights=True, padding=Padding.SAME_ONE)
+    graph = convert(b.finish(x), in_place=True).graph
+    params = BConv2DParams(3, 3, cin, cout, padding=Padding.SAME_ONE)
+    x_float = rng.standard_normal((batch, 17, 17, cin)).astype(np.float32)
+    return graph, x_float, bconv2d_reference(x_float, w, params)
+
+
+@pytest.mark.parametrize("num_threads", (1, 2))
+@pytest.mark.parametrize("factor", (1, 2))
+def test_executor_and_engine_match_float_reference(num_threads, factor, rng):
+    """The Executor and the Engine share the BGEMM tile kernel, so their
+    parity alone cannot catch a kernel bug: pin both to the float
+    ``bconv2d_reference`` on a conv that exercises K blocking and edges."""
+    graph, x, expected = _float_reference_case(rng, factor)
+    m, n, words = 17 * 17 * factor, 130, 9
+    assert m % DEFAULT_CONFIG.tile_m and n % DEFAULT_CONFIG.tile_n
+    kb = _k_block(DEFAULT_CONFIG.tile_m, DEFAULT_CONFIG.tile_n, words)
+    assert 1 < kb < words and words % kb, "case must take ragged K blocks"
+    assert any(node.op == "lce_bconv2d" for node in graph.nodes)
+    reference = np.concatenate(
+        [Executor(graph).run(x[i : i + 1]) for i in range(factor)]
+    )
+    assert_bit_identical(reference, expected)
+    with Engine(graph, num_threads=num_threads, max_batch_size=2) as engine:
+        assert_bit_identical(engine.run(x), expected)
 
 
 # ----------------------------------------------------------------- the zoo

@@ -289,6 +289,20 @@ def test_malformed_input_raises_synchronously(graph):
     assert stats.replicas_healthy == {"m": gw.config.replicas}
 
 
+@pytest.mark.parametrize("dtype", [np.complex64, object])
+def test_non_numeric_dtype_raises_synchronously(graph, dtype):
+    # Regression: these used to be admitted and come back as a silently
+    # wrong reply (the imaginary part or object boxing dropped).
+    clock = FakeClock()
+    with make_gateway(graph, clock) as gw:
+        for _ in range(gw.config.max_replica_failures):
+            with pytest.raises(ValueError, match="dtype"):
+                gw.submit("m", np.ones((1, 8, 8, 8), dtype))
+        stats = gw.stats()
+    assert stats.submitted == 0
+    assert stats.replicas_healthy == {"m": gw.config.replicas}
+
+
 def test_close_drains_admitted_requests(graph, rng):
     """close() cuts the deadline short and answers everything admitted."""
     clock = FakeClock()

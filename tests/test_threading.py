@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.bgemm import bgemm_blocked
+from repro.core.bgemm import _k_block, bgemm_blocked, bgemm_reference
 from repro.core.bitpack import pack_bits
-from repro.core.threading import bgemm_parallel
+from repro.core.threading import bgemm_parallel, bgemm_scratch_spec
+from repro.core.workspace import Workspace
 from repro.hw.device import DeviceModel
 from repro.hw.latency import LatencyBreakdown
 
@@ -69,11 +70,30 @@ class TestParallelBgemm:
         )
 
     def test_k_word_blocking_under_threads(self, rng):
-        a, b = _operands(rng, 300, 16, 300)
-        assert np.array_equal(
-            bgemm_parallel(a, b, 300, num_threads=2, tile_k_words=2),
-            bgemm_blocked(a, b, 300),
+        # 64x128 tiles take several K blocks each; two workers use their
+        # own bgemm/{slot}/* temporaries out of one spec-sized arena,
+        # including the ragged 44-row last tile.
+        m, n, depth = 300, 128, 21 * 64 - 5
+        a, b = _operands(rng, m, n, depth)
+        words = a.shape[1]
+        assert _k_block(64, n, words) < words
+        ws = Workspace()
+        for name, size, dtype in bgemm_scratch_spec(
+            m, n, words, num_threads=2, tile_m=64
+        ):
+            ws.reserve(name, size, dtype)
+        grows = ws.grows
+        expected = bgemm_reference(a, b, depth)
+        for _ in range(2):
+            got = bgemm_parallel(
+                a, b, depth, num_threads=2, tile_m=64, workspace=ws
+            )
+            assert np.array_equal(got, expected)
+        assert ws.grows == grows, "spec-sized arena grew"
+        assert {"bgemm/0/xor3", "bgemm/1/xor3", "bgemm/0/ksum"} <= set(
+            ws.names()
         )
+        assert "bgemm/xor3" not in ws.names()
 
     def test_rejects_bad_thread_grain(self, rng):
         a, b = _operands(rng, 8, 8, 64)

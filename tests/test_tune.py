@@ -25,6 +25,7 @@ from repro.hw.device import DeviceProfile
 from repro.runtime import Engine, compile_plan
 from repro.tune import (
     ConvGeometryKey,
+    TUNING_SCHEMA_VERSION,
     TuningCache,
     TuningEntry,
     TuningError,
@@ -154,7 +155,7 @@ class TestKernelConfig:
         assert len(problems) >= 3
 
     @pytest.mark.parametrize(
-        "kw", [{"tile_m": 0}, {"tile_n": -1}, {"tile_k_words": True},
+        "kw", [{"tile_m": 0}, {"tile_n": -1}, {"tile_n": True},
                {"im2col": "nope"}, {"thread_grain": 0}],
     )
     def test_constructor_validates(self, kw):
@@ -188,9 +189,9 @@ class TestSearch:
         assert us > 0
 
     def test_tune_geometry_produces_consistent_entry(self):
-        entry = tune_geometry(_tiny_geometry(), repeats=2, max_candidates=4)
+        entry = tune_geometry(_tiny_geometry(), repeats=2, max_candidates=3)
         assert entry.device_profile_id == "default"
-        assert entry.candidates == 4
+        assert entry.candidates == 3
         assert entry.repeats == 2
         # The default config is always in the candidate set, so the
         # winner can never be measurably slower than it.
@@ -302,11 +303,21 @@ class TestTuningArtifact:
         problems = validate_tuning(obj)
         assert any("newer than supported" in p for p in problems)
 
+    def test_v1_artifact_raises_typed_error(self, tmp_path):
+        # v1 configs carried the retired K-blocking knob: loading one must
+        # fail with the typed error, never a bare ValueError.
+        obj = TuningCache(name="old", entries=(_entry(),)).to_json()
+        obj["schema_version"] = 1
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(TuningError, match="re-run the tuner"):
+            load_tuning(path)
+
     def test_duplicate_keys_rejected(self):
         e = _entry()
         obj = {
             "schema": "repro.tuning_cache",
-            "schema_version": 1,
+            "schema_version": TUNING_SCHEMA_VERSION,
             "name": "dup",
             "entries": [e.to_json(), e.to_json()],
         }
