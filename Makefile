@@ -97,7 +97,7 @@ telemetry-smoke:
 # ``cli loadgen`` exits non-zero on any validation problem.
 serve-smoke:
 	PYTHONPATH=src python -m repro.cli loadgen --rates 20 60 120 \
-		--duration 0.25 --max-batch 4 --deadline-ms 3 \
+		--duration 0.25 --max-batch 4 \
 		--out /tmp/repro-bench-serving-smoke.json \
 		--trace-out /tmp/repro-serving-trace-smoke.json
 

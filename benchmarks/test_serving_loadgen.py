@@ -29,7 +29,7 @@ def test_bench_serving_curves(benchmark):
         rates=RATES,
         duration_s=0.5,
         seed=0,
-        config=GatewayConfig(max_batch=8, deadline_ms=5.0, replicas=2),
+        config=GatewayConfig(max_batch=8, replicas=2),
     )
     assert validate_bench_serving(result) == []
     assert result["verified"] is True

@@ -497,7 +497,6 @@ def _gateway_config(args):
 
     return GatewayConfig(
         max_batch=args.max_batch,
-        deadline_ms=args.deadline_ms,
         max_queue=args.max_queue,
         replicas=args.replicas,
         num_threads=args.threads,
@@ -602,12 +601,9 @@ def _slo_from_args(args):
     )
     if all(v is None for v in objectives):
         return None
-    deadline = args.slo_deadline_ms
-    if args.slo_hit_rate is not None and deadline is None:
-        deadline = args.deadline_ms  # fall back to the batching deadline
     return SLOConfig(
         target_p95_ms=args.slo_p95_ms,
-        deadline_ms=deadline,
+        deadline_ms=args.slo_deadline_ms,
         deadline_hit_rate=args.slo_hit_rate,
         error_budget_pct=args.slo_error_budget_pct,
         window_s=args.slo_window_s,
@@ -1137,10 +1133,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input-size", type=int, default=32)
         p.add_argument("--max-batch", type=int, default=8)
         p.add_argument(
-            "--deadline-ms", type=float, default=5.0,
-            help="flush a forming batch this long after its oldest request",
-        )
-        p.add_argument(
             "--max-queue", type=int, default=64,
             help="bounded per-model queue; admission sheds beyond it",
         )
@@ -1193,7 +1185,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--slo-deadline-ms", type=float, default=None,
             help="deadline the hit rate is measured against "
-            "(defaults to --deadline-ms)",
+            "(required with --slo-hit-rate)",
         )
         p.add_argument(
             "--slo-window-s", type=float, default=60.0,
@@ -1350,7 +1342,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "slo_hit_rate", None) is not None \
+            and args.slo_deadline_ms is None:
+        parser.error("--slo-hit-rate requires --slo-deadline-ms")
     return args.fn(args)
 
 

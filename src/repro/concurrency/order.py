@@ -54,14 +54,15 @@ LOCK_ORDER: tuple[LockRank, ...] = (
     LockRank(
         "serving.server.close", 20, False,
         "_ModelServer._close_lock — single-shot teardown of one model "
-        "server; held while joining the batcher/workers, which take the "
+        "server; held while joining the replica workers, which take the "
         "server lock and the metrics lock",
     ),
     LockRank(
         "serving.server", 30, False,
         "_ModelServer._lock — the per-model queue/replica state lock "
-        "(its two Conditions share it); admission counts metrics while "
-        "holding it, so it precedes obs.metrics",
+        "(its worker Condition wraps it); admission counts metrics and "
+        "emits events while holding it, so it precedes obs.events and "
+        "obs.metrics",
     ),
     LockRank(
         "runtime.engine.plan", 50, False,

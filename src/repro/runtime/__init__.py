@@ -11,7 +11,7 @@ section "The runtime"):
   plans per batch size, intra-op threaded binarized GEMMs, ``run`` and
   ``run_many`` (greedy micro-batching via
   :func:`~repro.runtime.engine.greedy_chunks`, shared with the serving
-  gateway's batcher), all bit-identical per request to the reference
+  gateway), all bit-identical per request to the reference
   executor.
 """
 

@@ -2,7 +2,7 @@
 
 Layers plan compilation, prepacked-weight caching, intra-op threading and
 micro-batching over the graph IR.  Like the TFLite interpreter LCE runs
-in, the engine is a synchronous executor; queueing, deadline batching and
+in, the engine is a synchronous executor; queueing, batching and
 replica placement belong to the serving :class:`~repro.serving.Gateway`.
 
 - :meth:`Engine.run` — one (possibly batched) synchronous inference through

@@ -1,10 +1,11 @@
 """`repro.serving`: the async request gateway in front of the Engine.
 
 The deployment front door (ROADMAP item 1): per-model bounded queues
-with admission control and typed load-shedding, deadline-driven
-continuous batching, warm Engine replica pools sharing prepacked
-weights, pluggable placement policies, and an open-loop load generator
-driving ``BENCH_serving.json``:
+with admission control and typed load-shedding, work-conserving
+batching (an idle replica takes a request at once; requests coalesce
+only while every replica is busy), warm Engine replica pools sharing
+prepacked weights with round-robin placement, and an open-loop load
+generator driving ``BENCH_serving.json``:
 
 - :mod:`repro.serving.clock` — the :class:`Clock` seam every
   time-dependent decision goes through (tests inject a fake);

@@ -152,7 +152,6 @@ def run_bench(
         "duration_s": duration_s,
         "config": {
             "max_batch": config.max_batch,
-            "deadline_ms": config.deadline_ms,
             "max_queue": config.max_queue,
             "replicas": config.replicas,
             "num_threads": config.num_threads,

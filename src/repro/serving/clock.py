@@ -1,8 +1,8 @@
 """The serving layer's clock seam.
 
 Every time-dependent decision the gateway and the load generator make —
-deadline-based batch flushing, open-loop arrival pacing, latency
-accounting — goes through a :class:`Clock` instead of the ``time``
+open-loop arrival pacing, per-stage latency accounting, the replica
+workers' waits — goes through a :class:`Clock` instead of the ``time``
 module, for two reasons:
 
 - **Determinism.**  Tests inject a fake clock (``tests/fake_clock.py``)
@@ -12,9 +12,9 @@ module, for two reasons:
   ``serving/``; the real clock below is monotonic-only).
 - **One timed-wait discipline.**  :meth:`Clock.wait` is
   ``threading.Condition.wait`` with the timeout interpreted *in clock
-  time*.  The gateway's batcher never sleeps; it waits on the queue's
-  condition with the remaining-deadline timeout, so a producer enqueue
-  and a deadline expiry wake it through the same edge.
+  time*.  The gateway's replica workers never sleep; they wait on the
+  server's condition, so a handoff and a close wake them through the
+  same edge.
 """
 
 from __future__ import annotations

@@ -9,25 +9,30 @@ owns:
   gateway, an unknown model or a dead replica pool sheds the request
   with a typed :class:`Rejected` *result* (the future still resolves;
   nothing ever blocks the submitter and nothing grows unboundedly);
-- a **deadline batcher** — a thread that forms micro-batches
-  continuously, flushing on ``max_batch`` *or* ``deadline_ms`` after the
-  oldest queued request, whichever comes first.  All waiting goes
-  through the injected :class:`~repro.serving.clock.Clock`, so tests
-  drive every deadline with a fake clock and zero wall-clock sleeps;
+- **work-conserving batching** — no batcher thread and no deadline:
+  ``submit`` hands a request straight to an idle healthy replica, and a
+  replica that finishes a batch takes the next greedy micro-batch
+  (``greedy_chunks`` up to ``max_batch``) before it goes idle.  Requests
+  wait, and coalesce, only while every healthy replica is busy, so a
+  lone request runs at once and batches grow with load.  Latency is
+  accounted on the injected :class:`~repro.serving.clock.Clock`, so
+  tests drive it with a fake clock and zero wall-clock sleeps;
 - a **warm replica pool** — ``replicas`` engines sharing one prepacked
   :class:`~repro.runtime.plan.ParamCache`, each with a worker thread.
-  A round-robin cursor places each formed batch on the next idle,
-  healthy replica; a replica that keeps failing is quarantined (its
-  in-flight batch resolves to typed ``Rejected`` replies, never an
-  exception leak or a deadlock) and the pool keeps serving on the
-  survivors.
+  A round-robin cursor places a new request on the next idle, healthy
+  replica; a replica that keeps failing is quarantined (its in-flight
+  batch resolves to typed ``Rejected`` replies, never an exception leak
+  or a deadlock) and the pool keeps serving on the survivors.
 
 Observability: every admission decision and batch lands in the gateway's
 :class:`~repro.obs.metrics.MetricsRegistry` under ``gateway.*`` names
 (grouped updates keep ``submitted == accepted + shed`` true at *every*
-snapshot), and a :class:`~repro.obs.trace.Tracer` records
-``gateway.flush`` spans that nest the engine's existing
-``engine.run_many`` → ``plan.execute`` → kernel spans.  With an
+snapshot; each model's ``latency_ms`` splits, to the rounding, into
+``queue_wait_ms`` — accept until a replica takes the request — and
+``execute_ms`` — taken until its batch has run), and a
+:class:`~repro.obs.trace.Tracer` records ``gateway.flush`` spans that
+nest the engine's existing ``engine.run_many`` → ``plan.execute`` →
+kernel spans.  With an
 :class:`~repro.obs.events.EventLog` attached, the gateway additionally
 mints a ``request_id`` per submit and threads it through the request's
 whole lifecycle — ``request.accept`` / ``request.coalesce`` /
@@ -112,9 +117,6 @@ class GatewayConfig:
 
     #: largest micro-batch, in base-batch groups (same unit as the engine)
     max_batch: int = 8
-    #: flush a forming batch this long after its oldest request, even if
-    #: it is not full — the latency half of continuous batching
-    deadline_ms: float = 5.0
     #: bounded per-model queue, in queued requests; admission sheds beyond
     max_queue: int = 64
     #: warm engines per model, sharing one prepacked ParamCache
@@ -127,12 +129,14 @@ class GatewayConfig:
     def validate(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be positive, got {self.max_batch}")
-        if self.deadline_ms < 0:
-            raise ValueError(f"deadline_ms must be >= 0, got {self.deadline_ms}")
         if self.max_queue < 1:
             raise ValueError(f"max_queue must be positive, got {self.max_queue}")
         if self.replicas < 1:
             raise ValueError(f"replicas must be positive, got {self.replicas}")
+        if self.num_threads < 1:
+            raise ValueError(
+                f"num_threads must be positive, got {self.num_threads}"
+            )
         if self.max_replica_failures < 1:
             raise ValueError(
                 f"max_replica_failures must be positive, "
@@ -180,9 +184,11 @@ def _resolve(future: Future, value: Any) -> None:
 
 
 class _Pending:
-    """One admitted request waiting in a model queue."""
+    """One admitted request, queued or in a replica's batch."""
 
-    __slots__ = ("request", "factor", "future", "t_submit", "request_id")
+    __slots__ = (
+        "request", "factor", "future", "t_submit", "t_taken", "request_id",
+    )
 
     def __init__(
         self,
@@ -196,15 +202,15 @@ class _Pending:
         self.factor = factor
         self.future = future
         self.t_submit = t_submit
+        self.t_taken = t_submit  # set when a replica takes the request
         self.request_id = request_id
 
 
 class _Replica:
     """One warm engine plus its worker-thread state.
 
-    All mutable fields are guarded by the owning server's single lock
-    (via its two conditions); the worker thread is the only writer of
-    ``consecutive_failures``.
+    All mutable fields are guarded by the owning server's lock; the
+    worker thread is the only writer of ``consecutive_failures``.
     """
 
     __slots__ = (
@@ -223,12 +229,16 @@ class _Replica:
 
 
 class _ModelServer:
-    """Queue + batcher + replica pool for one model.
+    """Queue + replica pool for one model, work-conserving by construction.
 
-    One lock, two conditions: ``_cond`` carries queue edges (enqueue,
-    close) to the batcher; ``_replica_cond`` carries replica-state edges
-    (idle, quarantine, batch handoff) between the batcher and the
-    workers.  The batcher never holds the lock across engine execution.
+    There is no batcher thread.  ``submit`` places a request on an idle
+    healthy replica at once; a replica that finishes a batch takes the
+    next greedy batch from the queue before it goes idle.  So whenever
+    the server lock is free, *queue non-empty ⇒ no healthy replica is
+    idle*: requests wait, and coalesce, only while every healthy replica
+    is busy.  One lock and one condition (the workers' inbox edge) guard
+    the queue and the replica states; no one holds the lock across
+    engine execution.
     """
 
     def __init__(
@@ -255,17 +265,13 @@ class _ModelServer:
 
         self._lock = ordered_lock("serving.server")
         self._cond = threading.Condition(self._lock)
-        self._replica_cond = threading.Condition(self._lock)
         # Teardown is single-shot and serialized by its own outer-ranked
-        # lock: a concurrent close() blocks until the winner finishes
-        # instead of racing the workers-closed edge past a batcher that
-        # is still dispatching (the double-drain hang).
+        # lock: a concurrent close() blocks until the winner's drain is
+        # complete instead of returning while workers still run.
         self._close_lock = ordered_lock("serving.server.close")
         self._close_done = False
         self._queue: deque[_Pending] = deque()
-        self._queued_factor = 0
         self._closed = False
-        self._workers_closed = False
         self._next_replica = 0  # round-robin cursor over replica indices
 
         # Warm pool: every replica shares one prepacked-weight cache, so
@@ -301,14 +307,12 @@ class _ModelServer:
         self._m_batches = m.counter(f"gateway.{name}.batches")
         self._m_batch_size = m.histogram(f"gateway.{name}.batch_size")
         self._m_latency = m.histogram(f"gateway.{name}.latency_ms")
+        self._m_queue_wait = m.histogram(f"gateway.{name}.queue_wait_ms")
+        self._m_execute = m.histogram(f"gateway.{name}.execute_ms")
         self._m_replica_failures = m.counter(f"gateway.{name}.replica_failures")
         m.gauge(f"gateway.{name}.queue_depth", self.queue_depth)
         m.gauge(f"gateway.{name}.replicas_healthy", self.healthy_replicas)
 
-        self._batcher = threading.Thread(
-            target=self._batcher_loop, name=f"repro-gw-batcher-{name}", daemon=True
-        )
-        self._batcher.start()
         for replica in self._replicas:
             replica.thread = threading.Thread(
                 target=self._worker_loop,
@@ -348,6 +352,7 @@ class _ModelServer:
         """Admit or shed; always resolves ``future`` eventually."""
         t_submit = self._clock.now()
         reason: str | None = None
+        events = self._events
         with self._lock:
             if self._closed:
                 reason = SHED_CLOSED
@@ -356,28 +361,32 @@ class _ModelServer:
             elif len(self._queue) >= self._config.max_queue:
                 reason = SHED_QUEUE_FULL
             else:
-                # Count acceptance *before* the batcher can see the item,
-                # so no snapshot ever observes completed > accepted.
+                # Count and announce acceptance *before* a replica can
+                # see the item, so no snapshot observes completed >
+                # accepted and request.accept leads its lifecycle.
                 with self._metrics.lock():
                     self._g["submitted"].inc()
                     self._g["accepted"].inc()
                     self._m_accepted.inc()
+                if events.enabled:
+                    events.emit(
+                        "request.accept",
+                        request_id=request_id,
+                        model=self.name,
+                        factor=factor,
+                    )
                 self._queue.append(
                     _Pending(request, factor, future, t_submit, request_id)
                 )
-                self._queued_factor += factor
-                self._cond.notify()
+                idle = [
+                    r.idx
+                    for r in self._replicas
+                    if not r.busy and not r.quarantined
+                ]
+                if idle:
+                    self._take_into(self._replicas[self._pick_replica(idle)])
         if reason is not None:
             self._shed(future, reason, request_id=request_id)
-            return
-        events = self._events
-        if events.enabled:
-            events.emit(
-                "request.accept",
-                request_id=request_id,
-                model=self.name,
-                factor=factor,
-            )
 
     def _shed(
         self,
@@ -410,79 +419,31 @@ class _ModelServer:
         if self._flight is not None:
             self._flight.note_shed()
 
-    # ------------------------------------------------------------- batcher
-    def _batcher_loop(self) -> None:
-        clock = self._clock
-        while True:
-            with self._cond:
-                while not self._queue and not self._closed:
-                    clock.wait(self._cond, None)
-                if not self._queue:
-                    return  # closed and fully drained
-                if not self._closed and self._config.deadline_ms > 0:
-                    # Continuous batching with a latency deadline: wait for
-                    # more work until the batch is full or the oldest
-                    # request's deadline expires — whichever comes first.
-                    deadline = clock.now() + self._config.deadline_ms / 1e3
-                    while (
-                        self._queued_factor < self._config.max_batch
-                        and not self._closed
-                    ):
-                        remaining = deadline - clock.now()
-                        if remaining <= 0:
-                            break
-                        clock.wait(self._cond, remaining)
-                batch = self._take_batch()
-            self._dispatch(batch)
+    # ----------------------------------------------------------- placement
+    def _take_into(self, replica: _Replica) -> None:
+        """Move the first greedy batch from the queue onto ``replica``.
 
-    def _take_batch(self) -> list[_Pending]:
-        """Pop the first greedy micro-batch (called with the lock held)."""
+        Called with the lock held and a non-empty queue.  The take is
+        the end of each request's queue wait: it is stamped here and
+        announced (``request.coalesce``) before the worker can run it.
+        """
         items = [(p, p.factor) for p in self._queue]
         first = greedy_chunks(items, self._config.max_batch)[0]
         batch = [self._queue.popleft() for _ in range(len(first))]
-        self._queued_factor -= sum(p.factor for p in batch)  # repro: allow[C005] documented contract: the batcher calls this with self._lock held
-        return batch
-
-    def _dispatch(self, batch: list[_Pending]) -> None:
-        """Hand a formed batch to an idle healthy replica (or shed)."""
+        now = self._clock.now()
         events = self._events
-        if events.enabled:
-            for p in batch:
+        for p in batch:
+            p.t_taken = now
+            if events.enabled:
                 events.emit(
                     "request.coalesce",
                     request_id=p.request_id,
                     model=self.name,
                     batch_requests=len(batch),
                 )
-        with self._replica_cond:
-            while True:
-                healthy = [r for r in self._replicas if not r.quarantined]
-                if not healthy:
-                    break
-                idle = [r.idx for r in healthy if not r.busy]
-                if idle:
-                    replica = self._replicas[self._pick_replica(idle)]
-                    replica.busy = True
-                    replica.inbox = batch
-                    self._replica_cond.notify_all()
-                    return
-                self._clock.wait(self._replica_cond, None)
-        # Every replica is quarantined: typed shed, never a deadlock.
-        with self._metrics.lock():
-            self._m_failed.add(len(batch))
-            self._g["failed"].add(len(batch))
-        for p in batch:
-            if events.enabled:
-                events.emit(
-                    "request.failed",
-                    request_id=p.request_id,
-                    model=self.name,
-                    reason=SHED_NO_HEALTHY_REPLICA,
-                )
-            _resolve(
-                p.future,
-                Rejected(self.name, SHED_NO_HEALTHY_REPLICA, "replica pool dead"),
-            )
+        replica.busy = True
+        replica.inbox = batch
+        self._cond.notify_all()
 
     def _pick_replica(self, idle: Sequence[int]) -> int:
         """Round-robin: the first idle replica at or after the cursor.
@@ -493,23 +454,33 @@ class _ModelServer:
         """
         n = len(self._replicas)
         rid = min(idle, key=lambda r: (r - self._next_replica) % n)
-        self._next_replica = (rid + 1) % n  # repro: allow[C005] documented contract: _dispatch calls this with self._lock held
+        self._next_replica = (rid + 1) % n  # repro: allow[C005] documented contract: submit calls this with self._lock held
         return rid
 
     # ------------------------------------------------------------- workers
     def _worker_loop(self, replica: _Replica) -> None:
         while True:
-            with self._replica_cond:
-                while replica.inbox is None and not self._workers_closed:
-                    self._clock.wait(self._replica_cond, None)
+            with self._cond:
+                while replica.inbox is None and not self._closed:
+                    self._clock.wait(self._cond, None)
                 batch = replica.inbox
                 replica.inbox = None
             if batch is None:
-                return  # workers closed, inbox empty
+                return  # closed, and no work was left for this replica
             self._run_batch(replica, batch)
-            with self._replica_cond:
-                replica.busy = False
-                self._replica_cond.notify_all()
+            orphans: list[_Pending] = []
+            with self._cond:
+                if not replica.quarantined and self._queue:
+                    self._take_into(replica)  # stays busy: next batch
+                else:
+                    replica.busy = False
+                    if all(r.quarantined for r in self._replicas):
+                        # The pool just died: nothing will ever take the
+                        # queued requests, so answer them now.
+                        orphans = list(self._queue)
+                        self._queue.clear()
+            if orphans:
+                self._fail(orphans, "replica pool dead")
 
     def _run_batch(self, replica: _Replica, batch: list[_Pending]) -> None:
         size = sum(p.factor for p in batch)
@@ -541,7 +512,7 @@ class _ModelServer:
         except BaseException as exc:
             self._record_failure(replica, batch, exc)
             return
-        with self._replica_cond:
+        with self._lock:
             replica.consecutive_failures = 0
         end = self._clock.now()
         with self._metrics.lock():
@@ -555,6 +526,10 @@ class _ModelServer:
                 latency_ms = round((end - p.t_submit) * 1e3, 3)
                 self._m_latency.observe(latency_ms)
                 self._g["latency_ms"].observe(latency_ms)
+                self._m_queue_wait.observe(
+                    round((p.t_taken - p.t_submit) * 1e3, 3)
+                )
+                self._m_execute.observe(round((end - p.t_taken) * 1e3, 3))
         for p, result in zip(batch, results):
             if events.enabled:
                 events.emit(
@@ -570,19 +545,15 @@ class _ModelServer:
         self, replica: _Replica, batch: list[_Pending], exc: BaseException
     ) -> None:
         """Fault isolation: count, maybe quarantine, answer with Rejected."""
-        with self._replica_cond:
+        with self._lock:
             replica.consecutive_failures += 1
             quarantined = (
                 replica.consecutive_failures >= self._config.max_replica_failures
             )
             if quarantined:
                 replica.quarantined = True
-            self._replica_cond.notify_all()
         with self._metrics.lock():
             self._m_replica_failures.inc()
-            self._m_failed.add(len(batch))
-            self._g["failed"].add(len(batch))
-        detail = f"{type(exc).__name__}: {exc}"
         events = self._events
         if events.enabled and quarantined:
             events.emit(
@@ -591,33 +562,46 @@ class _ModelServer:
                 replica=replica.idx,
                 failures=replica.consecutive_failures,
             )
+        self._fail(batch, f"{type(exc).__name__}: {exc}", replica.idx)
+        # The postmortem trigger runs last, lock-free, after every future
+        # is answered; the dump itself is rate-limited.
+        if quarantined and self._flight is not None:
+            self._flight.trigger("replica_quarantine")
+
+    def _fail(
+        self, batch: list[_Pending], detail: str, replica: int | None = None
+    ) -> None:
+        """Answer admitted requests with ``Rejected(FAILED_REPLICA)``.
+
+        Every ``SHED_*`` reason means "never admitted"; an admitted
+        request that cannot be served always fails with this one.
+        """
+        with self._metrics.lock():
+            self._m_failed.add(len(batch))
+            self._g["failed"].add(len(batch))
+        events = self._events
         for p in batch:
             if events.enabled:
                 events.emit(
                     "request.failed",
                     request_id=p.request_id,
                     model=self.name,
-                    replica=replica.idx,
+                    replica=replica,
                     reason=FAILED_REPLICA,
                     detail=detail,
                 )
             _resolve(p.future, Rejected(self.name, FAILED_REPLICA, detail))
-        # The postmortem trigger runs last, lock-free, after every future
-        # is answered; the dump itself is rate-limited.
-        if quarantined and self._flight is not None:
-            self._flight.trigger("replica_quarantine")
 
     # --------------------------------------------------------------- close
     def close(self) -> None:
         """Stop admission, drain the queue, stop workers; idempotent.
 
-        Already-admitted requests are flushed (the deadline is cut short)
-        and answered before the threads exit.  The whole sequence runs
-        under the close lock: a second concurrent close() used to get
-        past the closed-flag check and set ``_workers_closed`` while the
-        first close's batcher was still dispatching, making the workers
-        exit with a batch in flight and ``_dispatch`` wait forever.  Now
-        the loser simply blocks until the winner's drain is complete.
+        Already-admitted requests are answered before the threads exit:
+        an idle worker exits at once (the queue is empty or every healthy
+        replica is busy), and a busy one keeps taking batches until the
+        queue is empty.  The whole sequence runs under the close lock, so
+        a second concurrent close() blocks until the winner's drain is
+        complete.
         """
         with self._close_lock:
             if self._close_done:
@@ -625,13 +609,9 @@ class _ModelServer:
             with self._cond:
                 self._closed = True
                 self._cond.notify_all()
-            self._batcher.join()  # repro: allow[C003] the close lock exists to serialize this drain; it is outermost for the server and never taken on a hot path
-            with self._replica_cond:
-                self._workers_closed = True
-                self._replica_cond.notify_all()
             for replica in self._replicas:
                 if replica.thread is not None:
-                    replica.thread.join()  # repro: allow[C003] same single-shot teardown drain under the dedicated close lock
+                    replica.thread.join()  # repro: allow[C003] the close lock exists to serialize this drain; it is outermost for the server and never taken on a hot path
             for replica in self._replicas:
                 replica.engine.close()
             self._close_done = True

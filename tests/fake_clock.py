@@ -4,8 +4,8 @@ Time only moves when the test calls :meth:`FakeClock.advance`; nothing in
 here ever waits on wall-clock progress (the long ``cond.wait`` timeouts
 below are hang *backstops* for a buggy test, not part of normal flow).
 
-How the timed-wait handshake stays race-free: the gateway's batcher calls
-``clock.wait(cond, remaining)`` while holding ``cond``'s lock, so the
+How the timed-wait handshake stays race-free: a waiter calls
+``clock.wait(cond, timeout)`` while holding ``cond``'s lock, so the
 waiter is registered (under the fake clock's own lock) *before* the
 thread parks in ``cond.wait``.  When the test later calls ``advance``,
 the clock collects the expired registrations and then does
@@ -43,7 +43,6 @@ class FakeClock:
         self._safety = safety_timeout_s
         self._sleepers = 0
         self._timed_waiters: list[_TimedWaiter] = []
-        self._registrations = 0
 
     # ------------------------------------------------------- Clock protocol
     def now(self) -> float:
@@ -82,7 +81,6 @@ class FakeClock:
         with self._cv:
             waiter = _TimedWaiter(cond, self._now + timeout)
             self._timed_waiters.append(waiter)
-            self._registrations += 1
             self._cv.notify_all()
         try:
             return cond.wait(self._safety)
@@ -117,12 +115,6 @@ class FakeClock:
         with self._lock:
             return len(self._timed_waiters)
 
-    @property
-    def registrations(self) -> int:
-        """Total timed waits ever registered (a progress generation count)."""
-        with self._lock:
-            return self._registrations
-
     def wait_for(self, predicate, timeout_s: float = 10.0) -> None:
         """Real-time poll until ``predicate()`` holds (test sequencing).
 
@@ -143,11 +135,3 @@ class FakeClock:
     def wait_for_timed_waiters(self, n: int = 1, timeout_s: float = 10.0) -> None:
         """Block until at least ``n`` timed condition waits are registered."""
         self.wait_for(lambda: self.timed_waiters >= n, timeout_s)
-
-    def wait_for_registrations(self, n: int, timeout_s: float = 10.0) -> None:
-        """Block until the lifetime registration count reaches ``n``.
-
-        Distinguishes a *re*-registration (wake, re-check, wait again)
-        from a waiter that never woke — the waiter-count alone cannot.
-        """
-        self.wait_for(lambda: self.registrations >= n, timeout_s)

@@ -296,13 +296,20 @@ def test_condition_wait_releases_the_sanitized_lockset():
         with cond:
             cond.notify_all()
 
+    entered = threading.Event()
+
     def waiter():
         with cond:
+            entered.set()
             cond.wait(timeout=5.0)
 
     t = threading.Thread(target=waiter)
     t.start()
-    # Spin briefly until the waiter parks and releases the lock.
+    # The waiter holds the lock from ``entered`` until it parks; spin
+    # briefly until the wait releases it.  (Spinning before ``entered``
+    # could see the lock free before the waiter ever took it, notify
+    # nobody, and leave the waiter parked for its whole timeout.)
+    assert entered.wait(5.0)
     for _ in range(1000):
         if not lock.locked():
             break
@@ -310,6 +317,7 @@ def test_condition_wait_releases_the_sanitized_lockset():
     prober()
     t.join(5.0)
     assert not t.is_alive()
+    assert released["acquired"] is True
 
 
 def test_condition_over_reentrant_ordered_lock_is_rejected():

@@ -18,10 +18,11 @@ properties checked afterwards:
   ``obs.trace.dropped`` gauges), a schema-valid stream, and exactly one
   terminal event per request.
 
-The gateway runs on a FakeClock with ``deadline_ms=0`` (flush as soon as
-the batcher sees work), so no timed wait is ever armed and the whole
-stress run is event-driven — zero wall-clock sleeps, any thread
-interleaving, same invariants.
+The gateway runs on a FakeClock; its batching is work-conserving (an
+idle replica takes work at once, a busy one takes the next batch when
+it finishes), so no timed wait is ever armed and the whole stress run
+is event-driven — zero wall-clock sleeps, any thread interleaving, same
+invariants.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ def _gateway_under_stress(rng, seed):
     }
     config = GatewayConfig(
         max_batch=4,
-        deadline_ms=0.0,  # flush immediately: no timed waits, no advance()
         max_queue=5,  # tiny on purpose: overload must shed, not queue
         replicas=2,
     )

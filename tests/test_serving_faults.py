@@ -28,9 +28,12 @@ from repro.runtime.engine import Engine
 from repro.serving import (
     FAILED_REPLICA,
     SHED_NO_HEALTHY_REPLICA,
+    Arrival,
     Gateway,
     GatewayConfig,
+    LoadReport,
     Rejected,
+    run_load,
 )
 
 pytestmark = pytest.mark.serving
@@ -126,7 +129,7 @@ def test_failing_replica_quarantined_pool_survives(graph, rng):
     bit-identically."""
     clock = FakeClock()
     config = GatewayConfig(
-        max_batch=1, deadline_ms=50.0, replicas=2, max_replica_failures=2,
+        max_batch=1, replicas=2, max_replica_failures=2,
     )
     gw, built = _flaky_pool(
         graph, config, clock,
@@ -169,7 +172,7 @@ def test_stalled_replica_does_not_block_the_pool(graph, rng):
     serving, and the stalled request completes once released."""
     clock = FakeClock()
     started, release = threading.Event(), threading.Event()
-    config = GatewayConfig(max_batch=1, deadline_ms=50.0, replicas=2)
+    config = GatewayConfig(max_batch=1, replicas=2)
     gw, _ = _flaky_pool(
         graph, config, clock,
         lambda idx: (
@@ -199,7 +202,7 @@ def test_dead_pool_sheds_typed_at_admission(graph, rng):
     with ``no_healthy_replica`` — no queueing, no hang."""
     clock = FakeClock()
     config = GatewayConfig(
-        max_batch=1, deadline_ms=50.0, replicas=1, max_replica_failures=1
+        max_batch=1, replicas=1, max_replica_failures=1
     )
     gw, _ = _flaky_pool(
         graph, config, clock,
@@ -221,13 +224,13 @@ def test_dead_pool_sheds_typed_at_admission(graph, rng):
 
 
 def test_pool_death_resolves_parked_dispatch(graph, rng):
-    """A batch already parked in dispatch when the last replica dies gets
-    a typed reply too — the batcher never deadlocks on a dead pool."""
+    """A request queued behind the last replica when it dies gets a typed
+    reply too: admitted, so it *fails* (``replica_error``, "replica pool
+    dead") — it was not shed — and nothing deadlocks on the dead pool."""
     clock = FakeClock()
     started, release = threading.Event(), threading.Event()
     config = GatewayConfig(
-        max_batch=1, deadline_ms=50.0, replicas=1, max_replica_failures=1,
-        max_queue=4,
+        max_batch=1, replicas=1, max_replica_failures=1, max_queue=4,
     )
     gw, _ = _flaky_pool(
         graph, config, clock,
@@ -239,8 +242,8 @@ def test_pool_death_resolves_parked_dispatch(graph, rng):
     try:
         f_a = gw.submit("m", x)
         assert started.wait(RESULT_TIMEOUT_S)  # A holds the only replica
-        f_b = gw.submit("m", x)  # batcher parks this batch in dispatch
-        clock.wait_for(lambda: gw.server("m").queue_depth() == 0)
+        f_b = gw.submit("m", x)  # B queues behind it
+        assert gw.server("m").queue_depth() == 1
         release.set()  # A's run now raises -> replica quarantined
         reply_a = f_a.result(RESULT_TIMEOUT_S)
         reply_b = f_b.result(RESULT_TIMEOUT_S)
@@ -249,9 +252,57 @@ def test_pool_death_resolves_parked_dispatch(graph, rng):
         release.set()
         gw.close()
     assert isinstance(reply_a, Rejected) and reply_a.reason == FAILED_REPLICA
-    assert isinstance(reply_b, Rejected)
-    assert reply_b.reason == SHED_NO_HEALTHY_REPLICA
+    assert reply_b == Rejected("m", FAILED_REPLICA, "replica pool dead")
     assert stats.failed == 2 and stats.completed == 0 and stats.in_flight == 0
+    assert stats.queue_depth == {"m": 0}
+
+
+def test_run_load_tally_matches_gateway_stats(graph, rng):
+    """``run_load``'s shed/failed/accepted equal the gateway's own books
+    when the pool dies mid-stream: the request queued behind the dying
+    replica was admitted and failed, the one after it was shed."""
+    clock = FakeClock()
+    started, release = threading.Event(), threading.Event()
+    config = GatewayConfig(max_batch=1, replicas=1, max_replica_failures=1)
+    gw, _ = _flaky_pool(
+        graph, config, clock,
+        lambda idx: lambda e: FlakyEngine(
+            e, fail_times=1, stall_release=release, started=started
+        ),
+    )
+    x = _batched_input(graph, 1, rng)
+    arrivals = [Arrival(0.0, "m"), Arrival(0.0, "m"), Arrival(1.0, "m")]
+    reports: list[LoadReport] = []
+    player = threading.Thread(
+        target=lambda: reports.append(
+            run_load(gw, arrivals, lambda model: (x,),
+                     reply_timeout_s=RESULT_TIMEOUT_S)
+        ),
+        daemon=True,
+    )
+    server = gw.server("m")
+    try:
+        player.start()
+        # The first arrival holds the replica, the second queues behind
+        # it, and the player sleeps until the third is due.
+        assert started.wait(RESULT_TIMEOUT_S)
+        clock.wait_for_sleepers(1)
+        assert server.queue_depth() == 1
+        release.set()  # the replica fails, is quarantined, the pool dies
+        clock.wait_for(lambda: server.healthy_replicas() == 0)
+        clock.wait_for(lambda: server.queue_depth() == 0)
+        clock.advance(1.0)  # the third arrival meets the dead pool
+        player.join(RESULT_TIMEOUT_S)
+        assert not player.is_alive()
+        stats = gw.stats()
+    finally:
+        release.set()
+        gw.close()
+    (report,) = reports
+    assert (report.submitted, report.accepted) == (stats.submitted, stats.accepted)
+    assert (report.shed, report.failed) == (stats.shed, stats.failed)
+    assert report.completed == stats.completed
+    assert (report.accepted, report.failed, report.shed) == (2, 2, 1)
 
 
 def test_transient_failures_below_threshold_recover(graph, rng):
@@ -259,7 +310,7 @@ def test_transient_failures_below_threshold_recover(graph, rng):
     pool: once the fault clears, the same replica serves again."""
     clock = FakeClock()
     config = GatewayConfig(
-        max_batch=1, deadline_ms=50.0, replicas=1, max_replica_failures=3
+        max_batch=1, replicas=1, max_replica_failures=3
     )
     gw, built = _flaky_pool(
         graph, config, clock,

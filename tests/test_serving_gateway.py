@@ -1,14 +1,18 @@
 """Gateway behavior under a deterministic clock: batching, shedding, close.
 
-Every deadline in here is virtual — the tests drive the batcher through
-``tests/fake_clock.FakeClock`` and never sleep on the wall clock.  The
+All time in here is virtual — the gateway runs on
+``tests/fake_clock.FakeClock`` and no test sleeps on the wall clock; a
+``StallEngine`` holds a replica busy so requests queue behind it.  The
 bit-identity oracle is the same one the runtime parity suite uses:
 ``reference_outputs`` (concatenated per-group Executor runs).
 """
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -45,9 +49,57 @@ def graph(rng):
 
 
 def make_gateway(graph, clock, **overrides):
-    defaults = dict(max_batch=4, deadline_ms=100.0, max_queue=16, replicas=1)
+    defaults = dict(max_batch=4, max_queue=16, replicas=1)
     defaults.update(overrides)
     return Gateway({"m": graph}, GatewayConfig(**defaults), clock=clock)
+
+
+class StallEngine:
+    """Engine wrapper whose run_many blocks until the test releases it.
+
+    With ``clock``, each call then advances that FakeClock by
+    ``advance_s``: an exact, injected execute time.
+    """
+
+    def __init__(self, engine: Engine, started: threading.Event,
+                 release: threading.Event, clock: FakeClock | None = None,
+                 advance_s: float = 0.0) -> None:
+        self._engine = engine
+        self._started = started
+        self._release = release
+        self._clock = clock
+        self._advance_s = advance_s
+
+    def __getattr__(self, name):
+        return getattr(self._engine, name)
+
+    def run_many(self, requests):
+        self._started.set()
+        if not self._release.wait(30.0):
+            raise TimeoutError("StallEngine never released")
+        if self._clock is not None:
+            self._clock.advance(self._advance_s)
+        return self._engine.run_many(requests)
+
+
+def stalled_gateway(graph, clock, advance_s=0.0, **overrides):
+    """A gateway whose replicas park in run_many until ``release`` is set.
+
+    Returns ``(gateway, started, release)``; ``started`` is set once a
+    replica is inside run_many.
+    """
+    started, release = threading.Event(), threading.Event()
+    defaults = dict(max_batch=4, max_queue=16, replicas=1)
+    defaults.update(overrides)
+    gw = Gateway(
+        {"m": graph},
+        GatewayConfig(**defaults),
+        clock=clock,
+        engine_factory=lambda *a, **k: StallEngine(
+            Engine(*a, **k), started, release, clock, advance_s
+        ),
+    )
+    return gw, started, release
 
 
 # ------------------------------------------------------------ clock seam
@@ -98,81 +150,152 @@ def test_fake_clock_timed_wait_expires_on_advance():
     assert clock.timed_waiters == 0
 
 
-# ------------------------------------------------- deadline vs size flush
+# --------------------------------------------------- work-conserving batching
 
 
-def test_deadline_flushes_partial_batch(graph, rng):
+def test_lone_request_runs_without_waiting(graph, rng):
     clock = FakeClock()
     x = _batched_input(graph, 1, rng)
     expected = reference_outputs(graph, (x,), 1)
     with make_gateway(graph, clock) as gw:
+        # The idle replica takes the request inside submit: it never
+        # waits for company, and no virtual time has to pass.
         future = gw.submit("m", x)
-        # The batcher armed the 100 ms deadline and is parked on it; the
-        # batch is not full, so nothing may flush until time moves.
-        clock.wait_for_timed_waiters(1)
-        assert not future.done()
-        clock.advance(0.2)
         assert_bit_identical(future.result(RESULT_TIMEOUT_S), expected)
         stats = gw.stats()
+    assert clock.now() == 0.0
     assert stats.batch_histogram == {1: 1}
     assert (stats.submitted, stats.accepted, stats.completed) == (1, 1, 1)
-    # Latency is measured on the same virtual clock: submit at t=0,
-    # flushed at t=0.2 -> exactly 200 ms, which pins the percentile math.
-    assert stats.p50_ms == stats.p99_ms == pytest.approx(200.0)
+    assert stats.p50_ms == stats.p99_ms == 0.0
 
 
 def test_full_batch_flushes_without_time_passing(graph, rng):
+    """Requests that arrive while the only replica is busy queue, and
+    leave as one greedy batch the moment it frees."""
     clock = FakeClock()
     x = _batched_input(graph, 1, rng)
     expected = reference_outputs(graph, (x,), 1)
-    with make_gateway(graph, clock, max_batch=2, deadline_ms=1000.0) as gw:
+    gw, started, release = stalled_gateway(graph, clock, max_batch=2)
+    try:
+        f_busy = gw.submit("m", x)
+        assert started.wait(RESULT_TIMEOUT_S)  # the replica is taken
         futures = [gw.submit("m", x) for _ in range(2)]
-        for future in futures:  # flushes on size; no advance() ever happens
+        assert gw.server("m").queue_depth() == 2
+        release.set()
+        for future in (f_busy, *futures):
             assert_bit_identical(future.result(RESULT_TIMEOUT_S), expected)
         stats = gw.stats()
+    finally:
+        release.set()
+        gw.close()
     assert clock.now() == 0.0
-    assert stats.batch_histogram == {2: 1}
-
-
-def test_deadline_counts_from_oldest_request(graph, rng):
-    clock = FakeClock()
-    x = _batched_input(graph, 1, rng)
-    with make_gateway(graph, clock) as gw:
-        f1 = gw.submit("m", x)
-        clock.wait_for_timed_waiters(1)
-        generation = clock.registrations
-        clock.advance(0.06)  # 60 ms into the 100 ms deadline: no expiry
-        f2 = gw.submit("m", x)  # must NOT reset the deadline
-        # The enqueue woke the batcher; it re-armed with the REMAINING
-        # 40 ms of f1's deadline (a fresh registration proves it).
-        clock.wait_for_registrations(generation + 1)
-        assert not f1.done() and not f2.done()
-        clock.advance(0.05)  # 110 ms after f1: expired for the pair
-        f1.result(RESULT_TIMEOUT_S)
-        f2.result(RESULT_TIMEOUT_S)
-        stats = gw.stats()
-    # Both requests left in ONE batch at the oldest request's deadline.
-    assert stats.batch_histogram == {2: 1}
+    assert stats.batch_histogram == {1: 1, 2: 1}
 
 
 def test_mixed_factors_coalesce_to_full_batch(graph, rng):
     clock = FakeClock()
     x2 = _batched_input(graph, 2, rng)
     x1 = _batched_input(graph, 1, rng)
-    with make_gateway(graph, clock, max_batch=4) as gw:
+    gw, started, release = stalled_gateway(graph, clock, max_batch=4)
+    try:
+        f_busy = gw.submit("m", x1)
+        assert started.wait(RESULT_TIMEOUT_S)
         f_a = gw.submit("m", x2)
         f_b = gw.submit("m", x1)
         f_c = gw.submit("m", x1)
+        release.set()
         assert_bit_identical(
             f_a.result(RESULT_TIMEOUT_S), reference_outputs(graph, (x2,), 2)
         )
-        for f in (f_b, f_c):
+        for f in (f_busy, f_b, f_c):
             assert_bit_identical(
                 f.result(RESULT_TIMEOUT_S), reference_outputs(graph, (x1,), 1)
             )
         stats = gw.stats()
-    assert stats.batch_histogram == {4: 1}
-    assert stats.mean_batch_size == pytest.approx(4.0)
+    finally:
+        release.set()
+        gw.close()
+    assert stats.batch_histogram == {1: 1, 4: 1}
+    assert stats.mean_batch_size == pytest.approx(2.5)
+
+
+def test_stage_histograms_sum_to_latency(graph, rng):
+    """queue_wait_ms + execute_ms == latency_ms, request by request.
+
+    Each run_many advances the FakeClock by exactly 250 ms.  A takes the
+    idle replica at t=0 and ends at 0.25; B and C queue behind it at
+    t=0, are taken together at 0.25 and end at 0.5.  So the per-request
+    (queue, execute, latency) triples are A = (0, 250, 250) and
+    B = C = (250, 250, 500), which the three histograms pin exactly.
+    """
+    clock = FakeClock()
+    x = _batched_input(graph, 1, rng)
+    gw, started, release = stalled_gateway(graph, clock, advance_s=0.25)
+    try:
+        f_a = gw.submit("m", x)
+        assert started.wait(RESULT_TIMEOUT_S)
+        f_b, f_c = gw.submit("m", x), gw.submit("m", x)
+        release.set()
+        for f in (f_a, f_b, f_c):
+            assert not isinstance(f.result(RESULT_TIMEOUT_S), Rejected)
+        snap = gw.metrics_snapshot()
+    finally:
+        release.set()
+        gw.close()
+    assert snap["gateway.m.queue_wait_ms"]["counts"] == {0.0: 1, 250.0: 2}
+    assert snap["gateway.m.execute_ms"]["counts"] == {250.0: 3}
+    assert snap["gateway.m.latency_ms"]["counts"] == {250.0: 1, 500.0: 2}
+    assert snap["gateway.m.batch_size"]["counts"] == {1: 1, 2: 1}
+
+
+def test_no_idle_replica_while_work_queues(graph, rng):
+    """Stress the work-conserving invariant: at every observation under
+    the server lock, queue non-empty ⇒ no healthy replica idle — with
+    more submitters than cores and a shortened switch interval."""
+    clock = FakeClock()
+    x = _batched_input(graph, 1, rng)
+    expected = reference_outputs(graph, (x,), 1)
+    gw = make_gateway(graph, clock, max_batch=2, max_queue=128, replicas=2)
+    server = gw.server("m")
+    violations: list[int] = []
+    futures = []
+    stop = threading.Event()
+
+    def checker():
+        while not stop.is_set():
+            with server._lock:
+                if server._queue and any(
+                    not r.busy and not r.quarantined for r in server._replicas
+                ):
+                    violations.append(len(server._queue))
+            time.sleep(0)
+
+    def submitter():
+        for _ in range(20):
+            futures.append(gw.submit("m", x))
+
+    watcher = threading.Thread(target=checker, daemon=True)
+    submitters = [threading.Thread(target=submitter, daemon=True) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        watcher.start()
+        for t in submitters:
+            t.start()
+        for t in submitters:
+            t.join(RESULT_TIMEOUT_S)
+            assert not t.is_alive()
+        for f in futures:
+            assert_bit_identical(f.result(RESULT_TIMEOUT_S), expected)
+    finally:
+        stop.set()
+        watcher.join(RESULT_TIMEOUT_S)
+        sys.setswitchinterval(interval)
+        gw.close()
+    assert not watcher.is_alive()
+    assert violations == []
+    stats = gw.stats()
+    assert (stats.submitted, stats.completed, stats.in_flight) == (80, 80, 0)
 
 
 def test_oversize_request_runs_alone(graph, rng):
@@ -190,67 +313,40 @@ def test_oversize_request_runs_alone(graph, rng):
 # --------------------------------------------------- admission + shedding
 
 
-class StallEngine:
-    """Engine wrapper whose run_many blocks until the test releases it."""
-
-    def __init__(self, engine: Engine, started: threading.Event,
-                 release: threading.Event) -> None:
-        self._engine = engine
-        self._started = started
-        self._release = release
-
-    def __getattr__(self, name):
-        return getattr(self._engine, name)
-
-    def run_many(self, requests):
-        self._started.set()
-        if not self._release.wait(30.0):
-            raise TimeoutError("StallEngine never released")
-        return self._engine.run_many(requests)
-
-
 def test_overload_sheds_with_bounded_queue(graph, rng):
     """Under overload the gateway sheds (typed), never grows the queue.
 
-    max_batch=1 means every request flushes immediately with no deadline
-    wait, so the FakeClock never needs advancing — the overload state is
-    constructed, not raced: one request stalled inside the replica, one
-    parked in dispatch, ``max_queue`` queued, and the next one is shed.
+    The overload state is constructed, not raced: one request stalled
+    inside the only replica, ``max_queue`` queued behind it, and the
+    next one is shed.
     """
     clock = FakeClock()
-    started, release = threading.Event(), threading.Event()
-    config = GatewayConfig(max_batch=1, deadline_ms=100.0, max_queue=2, replicas=1)
-    gw = Gateway(
-        {"m": graph},
-        config,
-        clock=clock,
-        engine_factory=lambda *a, **k: StallEngine(Engine(*a, **k), started, release),
+    gw, started, release = stalled_gateway(
+        graph, clock, max_batch=1, max_queue=2
     )
     x = _batched_input(graph, 1, rng)
     expected = reference_outputs(graph, (x,), 1)
     try:
         f_a = gw.submit("m", x)
         assert started.wait(RESULT_TIMEOUT_S)  # A is inside the replica
-        f_b = gw.submit("m", x)  # taken by the batcher, parked in dispatch
-        clock.wait_for(lambda: gw.server("m").queue_depth() == 0)
-        f_c = gw.submit("m", x)
-        f_d = gw.submit("m", x)  # queue now holds max_queue=2
+        f_b = gw.submit("m", x)
+        f_c = gw.submit("m", x)  # queue now holds max_queue=2
         assert gw.server("m").queue_depth() == 2
-        f_e = gw.submit("m", x)  # bounced at admission
-        reply = f_e.result(0.5)
+        f_d = gw.submit("m", x)  # bounced at admission
+        reply = f_d.result(0.5)
         assert reply == Rejected("m", SHED_QUEUE_FULL)
         stats = gw.stats()
-        assert stats.shed == 1 and stats.queue_depth["m"] <= config.max_queue
+        assert stats.shed == 1 and stats.queue_depth["m"] <= gw.config.max_queue
         release.set()
-        for f in (f_a, f_b, f_c, f_d):
+        for f in (f_a, f_b, f_c):
             assert_bit_identical(f.result(RESULT_TIMEOUT_S), expected)
     finally:
         release.set()
         gw.close()
     stats = gw.stats()
-    assert (stats.submitted, stats.accepted, stats.shed) == (5, 4, 1)
-    assert (stats.completed, stats.failed, stats.in_flight) == (4, 0, 0)
-    assert stats.batch_histogram == {1: 4}
+    assert (stats.submitted, stats.accepted, stats.shed) == (4, 3, 1)
+    assert (stats.completed, stats.failed, stats.in_flight) == (3, 0, 0)
+    assert stats.batch_histogram == {1: 3}
 
 
 def test_unknown_model_is_typed_shed(graph):
@@ -303,38 +399,55 @@ def test_non_numeric_dtype_raises_synchronously(graph, dtype):
     assert stats.replicas_healthy == {"m": gw.config.replicas}
 
 
+def _closed(gw) -> bool:
+    server = gw.server("m")
+    with server._lock:
+        return server._closed
+
+
 def test_close_drains_admitted_requests(graph, rng):
-    """close() cuts the deadline short and answers everything admitted."""
+    """close() answers everything admitted before the threads exit."""
     clock = FakeClock()
     x = _batched_input(graph, 1, rng)
     expected = reference_outputs(graph, (x,), 1)
-    gw = make_gateway(graph, clock, max_batch=8, deadline_ms=1000.0)
-    f1 = gw.submit("m", x)
-    f2 = gw.submit("m", x)
-    clock.wait_for_timed_waiters(1)
-    gw.close()  # no advance(): the drain must not depend on time
-    for f in (f1, f2):
+    gw, started, release = stalled_gateway(graph, clock, max_batch=8)
+    try:
+        f1 = gw.submit("m", x)
+        assert started.wait(RESULT_TIMEOUT_S)
+        f2 = gw.submit("m", x)
+        f3 = gw.submit("m", x)  # f2 and f3 queue behind the busy replica
+        closer = threading.Thread(target=gw.close, daemon=True)
+        closer.start()
+        clock.wait_for(lambda: _closed(gw))
+        closer.join(0.05)
+        assert closer.is_alive()  # close waits for the drain
+        release.set()  # no advance(): the drain must not depend on time
+        closer.join(RESULT_TIMEOUT_S)
+        assert not closer.is_alive()
+    finally:
+        release.set()
+    for f in (f1, f2, f3):
         assert_bit_identical(f.result(RESULT_TIMEOUT_S), expected)
     stats = gw.stats()
-    assert stats.completed == 2 and stats.in_flight == 0
+    assert stats.completed == 3 and stats.in_flight == 0
+    assert stats.batch_histogram == {1: 1, 2: 1}
     gw.close()  # idempotent
 
 
 def test_concurrent_close_is_single_shot(graph, rng):
     """Racing close() calls: both return, the drain happens exactly once.
 
-    Before the close lock, two concurrent closers could interleave the
-    teardown — the loser set the workers-closed flag while the winner's
-    batcher was still dispatching, stranding a batch and hanging join().
-    Now the loser parks on the close lock until the winner's full drain
-    finishes, so both calls observe a completely drained gateway.
+    The loser parks on the close lock until the winner's full drain
+    finishes, so both calls observe a completely drained gateway — even
+    with a replica busy and requests queued behind it when they race.
     """
     clock = FakeClock()
     x = _batched_input(graph, 1, rng)
     expected = reference_outputs(graph, (x,), 1)
-    gw = make_gateway(graph, clock, max_batch=8, deadline_ms=1000.0)
-    futures = [gw.submit("m", x) for _ in range(3)]
-    clock.wait_for_timed_waiters(1)  # batcher parked on its deadline
+    gw, started, release = stalled_gateway(graph, clock, max_batch=8)
+    futures = [gw.submit("m", x)]
+    assert started.wait(RESULT_TIMEOUT_S)
+    futures += [gw.submit("m", x) for _ in range(2)]
 
     start = threading.Barrier(2)
 
@@ -343,11 +456,16 @@ def test_concurrent_close_is_single_shot(graph, rng):
         gw.close()
 
     closers = [threading.Thread(target=closer, daemon=True) for _ in range(2)]
-    for t in closers:
-        t.start()
-    for t in closers:
-        t.join(RESULT_TIMEOUT_S)
-        assert not t.is_alive()  # neither racer may hang in the drain
+    try:
+        for t in closers:
+            t.start()
+        clock.wait_for(lambda: _closed(gw))
+        release.set()
+        for t in closers:
+            t.join(RESULT_TIMEOUT_S)
+            assert not t.is_alive()  # neither racer may hang in the drain
+    finally:
+        release.set()
     for f in futures:
         assert_bit_identical(f.result(RESULT_TIMEOUT_S), expected)
     stats = gw.stats()
@@ -365,9 +483,9 @@ def test_close_concurrent_with_submit_resolves_every_future(graph, rng):
     clock = FakeClock()
     x = _batched_input(graph, 1, rng)
     expected = reference_outputs(graph, (x,), 1)
-    # deadline 0: the batcher flushes without parking on the clock, so
-    # the race needs no advance() choreography.
-    gw = make_gateway(graph, clock, max_batch=4, deadline_ms=0.0, max_queue=64)
+    # Nothing in the gateway waits on the clock, so the race needs no
+    # advance() choreography.
+    gw = make_gateway(graph, clock, max_batch=4, max_queue=64)
     futures = []
     done = threading.Event()
 
@@ -405,7 +523,7 @@ def test_gateway_spans_nest_engine_spans(graph, rng):
     x = _batched_input(graph, 1, rng)
     gw = Gateway(
         {"m": graph},
-        GatewayConfig(max_batch=1, deadline_ms=100.0),
+        GatewayConfig(max_batch=1),
         clock=clock,
         trace=tracer,
     )
@@ -443,7 +561,7 @@ def test_stats_snapshot_is_consistent(graph, rng):
 def _picks(server, idle_sets):
     picks = []
     for idle in idle_sets:
-        with server._lock:  # _dispatch's calling contract
+        with server._lock:  # submit's calling contract
             picks.append(server._pick_replica(idle))
     return picks
 
@@ -476,7 +594,7 @@ def test_greedy_coalescer_chunks():
     "kwargs",
     [
         dict(max_batch=0),
-        dict(deadline_ms=-1.0),
+        dict(num_threads=0),
         dict(max_queue=0),
         dict(replicas=0),
         dict(max_replica_failures=0),
@@ -485,6 +603,16 @@ def test_greedy_coalescer_chunks():
 def test_config_validation_rejects(kwargs):
     with pytest.raises(ValueError):
         GatewayConfig(**kwargs).validate()
+
+
+def test_server_runs_only_replica_threads(graph):
+    """No batcher thread and no deadline knob: a model server's only
+    threads are its replica workers."""
+    assert "deadline_ms" not in {f.name for f in fields(GatewayConfig)}
+    before = set(threading.enumerate())
+    with make_gateway(graph, FakeClock(), replicas=2):
+        names = sorted(t.name for t in set(threading.enumerate()) - before)
+    assert names == ["repro-gw-m-r0", "repro-gw-m-r1"]
 
 
 # --------------------------------------------------- loadgen determinism

@@ -1,14 +1,14 @@
 """End-to-end telemetry acceptance: events, SLO health, flight recorder.
 
 Everything runs on a FakeClock, so the latency the SLO monitor sees is
-*injected* — the batching deadline is the only thing that moves virtual
-time between submit and completion.  That makes the acceptance matrix
-deterministic:
+*injected* — an engine wrapper that advances virtual time inside
+``run_many`` is the only thing that moves it between submit and
+completion.  That makes the acceptance matrix deterministic:
 
-- a 50 ms deadline against a 10 ms p95 target must judge ``breached``;
-- an immediate flush (deadline 0) against the same target must judge
-  ``healthy``;
-- a forced overload (tiny queue, parked batcher) must shed in a storm
+- a 50 ms execute time against a 10 ms p95 target must judge
+  ``breached``;
+- a zero execute time against the same target must judge ``healthy``;
+- a forced overload (tiny queue, stalled replica) must shed in a storm
   and trip the flight recorder into a schema-valid dump;
 - the exported event stream must validate with exactly one terminal
   event per request id.
@@ -17,10 +17,12 @@ deterministic:
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 from fake_clock import FakeClock
 from test_runtime_parity import _batched_input, _binary_net
+from test_serving_gateway import StallEngine
 
 from repro.analysis import validate_events, validate_flight
 from repro.concurrency.locks import LockOrderError, _notify_order_error
@@ -33,6 +35,7 @@ from repro.obs import (
     events_to_records,
 )
 from repro.obs.events import request_kinds
+from repro.runtime.engine import Engine
 from repro.serving import (
     SHED_QUEUE_FULL,
     SHED_UNKNOWN_MODEL,
@@ -46,15 +49,21 @@ pytestmark = pytest.mark.serving
 TIMEOUT_S = 30.0
 
 
-def _gateway(rng, *, deadline_ms, max_queue=64, max_batch=8, **kwargs):
+def _gateway(rng, *, max_queue=64, max_batch=8, latency_ms=None,
+             release=None, **kwargs):
+    """A one-replica FakeClock gateway; with ``latency_ms`` every
+    ``run_many`` waits for ``release`` (set by default), then advances
+    the clock by exactly ``latency_ms``."""
     graph = _binary_net(rng, Padding.SAME_ONE)
     clock = FakeClock()
-    config = GatewayConfig(
-        max_batch=max_batch,
-        deadline_ms=deadline_ms,
-        max_queue=max_queue,
-        replicas=1,
-    )
+    config = GatewayConfig(max_batch=max_batch, max_queue=max_queue, replicas=1)
+    if latency_ms is not None:
+        if release is None:
+            release = threading.Event()
+            release.set()
+        kwargs["engine_factory"] = lambda *a, **k: StallEngine(
+            Engine(*a, **k), threading.Event(), release, clock, latency_ms / 1e3
+        )
     gateway = Gateway({"bin": graph}, config, clock=clock, **kwargs)
     return gateway, clock, _batched_input(graph, 1, rng)
 
@@ -62,7 +71,7 @@ def _gateway(rng, *, deadline_ms, max_queue=64, max_batch=8, **kwargs):
 # ------------------------------------------------------- lifecycle + stream
 def test_event_stream_validates_with_one_terminal_per_request(rng):
     log = EventLog()
-    gateway, clock, x = _gateway(rng, deadline_ms=0.0, events=log)
+    gateway, clock, x = _gateway(rng, events=log)
     try:
         gateway.warmup(factors=(1,))
         futures = [gateway.submit("bin", x) for _ in range(8)]
@@ -89,7 +98,7 @@ def test_event_stream_validates_with_one_terminal_per_request(rng):
 
 def test_unknown_model_sheds_with_a_request_scoped_event(rng):
     log = EventLog()
-    gateway, clock, x = _gateway(rng, deadline_ms=0.0, events=log)
+    gateway, clock, x = _gateway(rng, events=log)
     try:
         reply = gateway.submit("nope", x).result(TIMEOUT_S)
         assert isinstance(reply, Rejected)
@@ -107,9 +116,7 @@ def test_unknown_model_sheds_with_a_request_scoped_event(rng):
 def test_spans_and_events_join_on_request_id(rng):
     log = EventLog()
     tracer = Tracer()
-    gateway, clock, x = _gateway(
-        rng, deadline_ms=0.0, events=log, trace=tracer
-    )
+    gateway, clock, x = _gateway(rng, events=log, trace=tracer)
     try:
         assert not isinstance(
             gateway.submit("bin", x).result(TIMEOUT_S), Rejected
@@ -126,19 +133,16 @@ def test_spans_and_events_join_on_request_id(rng):
 
 
 # ----------------------------------------------------------- injected SLOs
-def _served_with_deadline(rng, deadline_ms, slo):
-    """Serve 3 requests whose latency is the (virtual) batching deadline."""
-    gateway, clock, x = _gateway(rng, deadline_ms=deadline_ms, slo=slo)
+def _served_with_latency(rng, latency_ms, slo):
+    """Serve 3 requests, one at a time, each ``latency_ms`` (virtual)."""
+    gateway, clock, x = _gateway(rng, latency_ms=latency_ms, slo=slo)
     try:
         gateway.warmup(factors=(1,))
-        futures = [gateway.submit("bin", x) for _ in range(3)]
-        if deadline_ms > 0:
-            # the batch (3 < max_batch) flushes only when virtual time
-            # reaches the deadline: latency is injected exactly
-            clock.wait_for_timed_waiters(1, TIMEOUT_S)
-            clock.advance(deadline_ms / 1e3)
-        for f in futures:
-            assert not isinstance(f.result(TIMEOUT_S), Rejected)
+        # One at a time: each request runs alone on the idle replica, so
+        # its latency is exactly the injected execute time.
+        for _ in range(3):
+            reply = gateway.submit("bin", x).result(TIMEOUT_S)
+            assert not isinstance(reply, Rejected)
         return gateway.health()["bin"], gateway.metrics_snapshot()
     finally:
         gateway.close()
@@ -146,7 +150,7 @@ def _served_with_deadline(rng, deadline_ms, slo):
 
 def test_injected_latency_breaches_p95_slo(rng):
     slo = SLOConfig(target_p95_ms=10.0, window_s=60.0)
-    health, snapshot = _served_with_deadline(rng, 50.0, slo)
+    health, snapshot = _served_with_latency(rng, 50.0, slo)
     assert health.status == "breached"
     assert health.p95_ms == pytest.approx(50.0)
     assert health.window_completed == 3
@@ -156,7 +160,7 @@ def test_injected_latency_breaches_p95_slo(rng):
 
 def test_fast_path_is_healthy_under_the_same_slo(rng):
     slo = SLOConfig(target_p95_ms=10.0, window_s=60.0)
-    health, snapshot = _served_with_deadline(rng, 0.0, slo)
+    health, snapshot = _served_with_latency(rng, 0.0, slo)
     assert health.status == "healthy"
     assert health.reasons == ("ok",)
     assert health.p95_ms == pytest.approx(0.0)  # zero virtual time passed
@@ -183,23 +187,25 @@ def test_overload_storm_trips_the_flight_recorder(rng, tmp_path):
         shed_storm_window_s=10.0,
         min_interval_s=0.0,
     )
-    # A long deadline parks the batcher, so the tiny queue fills and the
-    # remaining submits shed deterministically.
+    # The first request holds the only replica until released, so the
+    # tiny queue fills behind it and the remaining submits shed
+    # deterministically.
+    release = threading.Event()
     gateway, clock, x = _gateway(
-        rng, deadline_ms=1000.0, max_queue=2, events=log, flight=flight
+        rng, max_queue=2, events=log, flight=flight, latency_ms=0.0,
+        release=release,
     )
     try:
         gateway.warmup(factors=(1,))
-        first = gateway.submit("bin", x)
-        clock.wait_for_timed_waiters(1, TIMEOUT_S)  # batcher is parked
-        futures = [first] + [gateway.submit("bin", x) for _ in range(9)]
+        futures = [gateway.submit("bin", x) for _ in range(11)]
         replies = []
-        clock.advance(1.0)  # deadline: flush the two accepted requests
+        release.set()  # the replica serves the three accepted requests
         for f in futures:
             replies.append(f.result(TIMEOUT_S))
         records = events_to_records(log)
         snapshot = gateway.metrics_snapshot()
     finally:
+        release.set()
         gateway.close()
 
     shed = [r for r in replies if isinstance(r, Rejected)]
@@ -226,9 +232,7 @@ def test_overload_storm_trips_the_flight_recorder(rng, tmp_path):
 
 def test_manual_dump_bypasses_the_rate_limit(rng, tmp_path):
     flight = FlightRecorder(tmp_path, min_interval_s=3600.0)
-    gateway, clock, x = _gateway(
-        rng, deadline_ms=0.0, events=EventLog(), flight=flight
-    )
+    gateway, clock, x = _gateway(rng, events=EventLog(), flight=flight)
     try:
         assert not isinstance(
             gateway.submit("bin", x).result(TIMEOUT_S), Rejected
@@ -245,9 +249,7 @@ def test_manual_dump_bypasses_the_rate_limit(rng, tmp_path):
 
 def test_lock_order_error_hook_defers_then_dumps(rng, tmp_path):
     flight = FlightRecorder(tmp_path, min_interval_s=0.0)
-    gateway, clock, x = _gateway(
-        rng, deadline_ms=0.0, events=EventLog(), flight=flight
-    )
+    gateway, clock, x = _gateway(rng, events=EventLog(), flight=flight)
     try:
         # Simulate the sanitizer detecting an inversion on some thread:
         # the hook must only park the reason (no locks, no I/O)...
@@ -270,7 +272,7 @@ def test_lock_order_error_hook_defers_then_dumps(rng, tmp_path):
 
 
 def test_disabled_telemetry_emits_nothing(rng):
-    gateway, clock, x = _gateway(rng, deadline_ms=0.0)
+    gateway, clock, x = _gateway(rng)
     try:
         assert not isinstance(
             gateway.submit("bin", x).result(TIMEOUT_S), Rejected

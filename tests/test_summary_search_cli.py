@@ -128,3 +128,15 @@ class TestCLI:
     def test_unknown_model_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["benchmark", "--model", "resnet9000"])
+
+    @pytest.mark.parametrize("command", ["health", "slo"])
+    def test_slo_hit_rate_requires_its_deadline(self, command, capsys):
+        # The gateway has no batching deadline to fall back on.
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--slo-hit-rate", "0.9"])
+        assert exc.value.code == 2
+        assert "--slo-deadline-ms" in capsys.readouterr().err
+
+    def test_gateway_commands_have_no_batching_deadline(self):
+        with pytest.raises(SystemExit):
+            cli_main(["serve", "--deadline-ms", "5"])
